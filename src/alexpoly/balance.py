@@ -63,14 +63,12 @@ def canonicalize(f: LaurentPoly, ring: Ring) -> LaurentPoly:
     _require_integral(f)
     if not f:
         return f
-    out = f.shift(-f.min_halfexp)
-    if out.terms[out.max_halfexp] < 0:
-        out = -out
-    if ring is Ring.Q:
-        c = out.content()
-        if c > 1:
-            out = LaurentPoly({k: v // c for k, v in out.terms.items()})
-    return out
+    terms = f.terms
+    low = min(terms)
+    scale = f.content() if ring is Ring.Q else 1
+    if terms[max(terms)] < 0:
+        scale = -scale
+    return LaurentPoly({k - low: v // scale for k, v in terms.items()})
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from .invariants import (
     z_alexander,
 )
 from .laurent import LaurentPoly, ONE, T, ZERO
-from .seifert import SeifertPair, alexander_matrix, det, intersection_form, transpose
+from .seifert import SeifertPair, intersection_form, pencil_det, transpose
 from .skein import check_pass_move, check_twist_move, find_representatives
 
 
@@ -103,7 +103,7 @@ def _check_mississippi_classes(entry: CorpusEntry) -> list[str]:
             all(v == 0 for row in intersection_form(pair) for v in row),
             f"{label}: intersection form is nonzero",
         )
-        d = det(alexander_matrix(pair))
+        d = pencil_det(pair)
         dets.append(d)
         _expect(
             failures,
@@ -129,8 +129,8 @@ def _check_mississippi_triples(entry: CorpusEntry) -> list[str]:
     failures: list[str] = []
     d0 = entry.poly("zero")
     for plus, minus in (("plus", "minus"), ("plus2", "minus2")):
-        dp = det(alexander_matrix(entry.pair(plus)))
-        dm = det(alexander_matrix(entry.pair(minus)))
+        dp = pencil_det(entry.pair(plus))
+        dm = pencil_det(entry.pair(minus))
         verdict = check_pass_move(dp, dm, d0)
         _expect(
             failures,

@@ -11,6 +11,8 @@ works on the diagonal Seifert pairings of a Z2-symplectic basis.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import Mapping
 
 from .balance import BalancedClass, Ring
 from .errors import (
@@ -19,18 +21,10 @@ from .errors import (
     PreconditionViolated,
     ShapeMismatch,
 )
-from .laurent import LaurentPoly, T, T_HALF, ZERO
-from .seifert import (
-    SeifertPair,
-    alexander_matrix,
-    det,
-    int_det,
-    intersection_form,
-    normalized_matrix,
-)
+from .laurent import LaurentPoly, T, T_HALF_DIFF, ZERO
+from .seifert import SeifertPair, int_det, intersection_form, pencil_det
 
 _T_MINUS_ONE = T - 1
-_HALF_DIFF = T_HALF - LaurentPoly.half_power(-1)
 
 
 @dataclass(frozen=True)
@@ -72,36 +66,47 @@ class ArfData:
             )
 
 
-@dataclass
+@dataclass(frozen=True)
 class InvariantReport:
-    """Computed polynomial, both balanced classes, and derived integers."""
+    """Computed polynomial, both balanced classes, and derived integers.
+
+    scalars is a read-only view of a private copy of the mapping passed in.
+    """
 
     polynomial: LaurentPoly
     class_z: BalancedClass
     class_q: BalancedClass
-    scalars: dict[str, int] = field(default_factory=dict)
+    scalars: Mapping[str, int] = field(default_factory=dict)
+
+    def __post_init__(self):
+        object.__setattr__(self, "scalars", MappingProxyType(dict(self.scalars)))
 
 
 def z_alexander(pair: SeifertPair) -> BalancedClass:
     """Z-balanced class of det(t*S - N)."""
-    return BalancedClass.from_poly(det(alexander_matrix(pair)), Ring.Z)
+    return BalancedClass.from_poly(pencil_det(pair), Ring.Z)
 
 
 def q_alexander(pair: SeifertPair) -> BalancedClass:
     """Q-balanced class of det(t*S - N)."""
-    return BalancedClass.from_poly(det(alexander_matrix(pair)), Ring.Q)
+    return BalancedClass.from_poly(pencil_det(pair), Ring.Q)
 
 
 def normalized_alexander(data: NormalizedInput) -> LaurentPoly:
-    """det(t^(1/2)*S - t^(-1/2)*N), or zero if the middle condition fails."""
+    """det(t^(1/2)*S - t^(-1/2)*N), or zero if the middle condition fails.
+
+    The matrix is t^(-1/2) * (t*S - N), so its determinant is
+    det(t*S - N) shifted by t^(-size/2), size the matrix size.
+    """
     if not data.middle_condition:
         return ZERO
-    return det(normalized_matrix(data.pair))
+    size = len(data.pair.S)
+    return pencil_det(data.pair).shift(-size)
 
 
 def report(pair: SeifertPair) -> InvariantReport:
     """Polynomial and both classes for a square pair, plus scalar extras."""
-    poly = det(alexander_matrix(pair))
+    poly = pencil_det(pair)
     scalars = {"determinant_at_one": poly.eval_at_one()}
     try:
         scalars["pseudo_alinking"] = pseudo_alinking_from_poly(poly)
@@ -172,14 +177,14 @@ def first_order_at_one(f: LaurentPoly) -> int:
     """f/(t^(1/2) - t^(-1/2)) evaluated at t = 1 (0 for the zero input)."""
     if not f:
         return 0
-    return f.exact_div(_HALF_DIFF).eval_at_one()
+    return f.exact_div(T_HALF_DIFF).eval_at_one()
 
 
 def second_order_at_one(f: LaurentPoly) -> int:
     """f/(t^(1/2) - t^(-1/2))^2 evaluated at t = 1 (0 for the zero input)."""
     if not f:
         return 0
-    return f.exact_div(_HALF_DIFF).exact_div(_HALF_DIFF).eval_at_one()
+    return f.exact_div(T_HALF_DIFF).exact_div(T_HALF_DIFF).eval_at_one()
 
 
 def arf(data: ArfData) -> int:

@@ -292,3 +292,4 @@ ZERO = LaurentPoly()
 ONE = LaurentPoly.constant(1)
 T = LaurentPoly.t_power(1)
 T_HALF = LaurentPoly.half_power(1)
+T_HALF_DIFF = T_HALF - LaurentPoly.half_power(-1)  # t^(1/2) - t^(-1/2)

@@ -6,10 +6,15 @@ plus the cycle degree p and the submanifold dimension n.  From a pair the
 Alexander matrix t*S - N and the normalized matrix t^(1/2)*S - t^(-1/2)*N
 are built, whose exact determinants carry the invariants.
 
-Matrices are immutable tuples of tuples.  Determinants of polynomial
-matrices use cofactor expansion up to 4x4 and fraction-free Bareiss
-elimination above that; every division in Bareiss is exact in the
-Laurent ring, so no rationals appear.
+Matrices are immutable tuples of tuples.  There is one determinant route
+per matrix kind, and none of them uses rationals:
+
+- integer matrices: fraction-free Bareiss elimination (``int_det``);
+- Seifert pencils t*S - N of size m: ``pencil_det`` evaluates the integer
+  matrix x*S - N at x = 0..m with that same Bareiss and interpolates the
+  values exactly (the normalized determinant is that polynomial shifted);
+- general Laurent matrices: fraction-free Bareiss over the Laurent ring
+  (``det``), whose every division is exact there.
 """
 from __future__ import annotations
 
@@ -54,29 +59,41 @@ def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     )
 
 
+def _bareiss(a: list[list[int]]) -> int:
+    """Fraction-free Bareiss elimination of fresh square list rows, in place."""
+    n = len(a)
+    if n == 0:
+        return 1
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        pivot_row = a[k]
+        if pivot_row[k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    pivot_row = a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        pivot = pivot_row[k]
+        tail = pivot_row[k + 1 :]
+        for i in range(k + 1, n):
+            row = a[i]
+            aik = row[k]
+            row[k + 1 :] = [
+                (pivot * x - aik * y) // prev for x, y in zip(row[k + 1 :], tail)
+            ]
+        prev = pivot
+    return sign * a[n - 1][n - 1]
+
+
 def int_det(m: IntMatrix) -> int:
     """Exact integer determinant (fraction-free Bareiss)."""
     n = len(m)
     if any(len(r) != n for r in m):
         raise NotSquare(f"{n}x{len(m[0])} matrix has no determinant")
-    if n == 0:
-        return 1
-    a = [list(row) for row in m]
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[k][k] * a[i][j] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    return _bareiss([list(row) for row in m])
 
 
 def identity(n: int) -> IntMatrix:
@@ -190,24 +207,6 @@ def intersection_form(pair: SeifertPair) -> IntMatrix:
 # -- determinants -------------------------------------------------------------
 
 
-def _det_cofactor(rows: Sequence[Sequence[LaurentPoly]]) -> LaurentPoly:
-    n = len(rows)
-    if n == 0:
-        return ONE
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    total = ZERO
-    for j, head in enumerate(rows[0]):
-        if not head:
-            continue
-        minor = [[row[c] for c in range(n) if c != j] for row in rows[1:]]
-        term = head * _det_cofactor(minor)
-        total = total + term if j % 2 == 0 else total - term
-    return total
-
-
 def _det_bareiss(rows: Sequence[Sequence[LaurentPoly]]) -> LaurentPoly:
     n = len(rows)
     a = [list(row) for row in rows]
@@ -234,9 +233,41 @@ def det(m: AlexanderMatrix) -> LaurentPoly:
     rows, cols = m.shape
     if rows != cols:
         raise NotSquare(f"{rows}x{cols} matrix has no determinant")
-    if rows <= 4:
-        return _det_cofactor(m.entries)
+    if rows == 0:
+        return ONE
     return _det_bareiss(m.entries)
+
+
+def pencil_det(pair: SeifertPair) -> LaurentPoly:
+    """det(t*S - N) of a square pair, by evaluation and interpolation.
+
+    The determinant f is an integer polynomial of degree at most n in t,
+    n the matrix size (not pair.n), so its values at t = 0..n fix it.
+    Each value is an integer Bareiss determinant.  Step k of the forward
+    differences is divided by k, which is exact: it leaves Delta^k f(i)/k!,
+    and those Newton coefficients of an integer polynomial at consecutive
+    integer nodes are integers.  The Newton form is then expanded to
+    monomials by Horner's rule.
+    """
+    rows, cols = pair.shape
+    if rows != cols:
+        raise NotSquare(f"{rows}x{cols} matrix has no determinant")
+    n = rows
+    pencil = tuple(zip(pair.S, pair.N))
+    coeffs = [
+        _bareiss([[x * s - v for s, v in zip(srow, nrow)] for srow, nrow in pencil])
+        for x in range(n + 1)
+    ]
+    for k in range(1, n + 1):
+        for i in range(n, k - 1, -1):
+            coeffs[i] = (coeffs[i] - coeffs[i - 1]) // k
+    # f = c0 + x*(c1 + (x-1)*(c2 + ... + (x-n+1)*cn)), innermost first.
+    poly = [coeffs[n]]
+    for k in range(n - 1, -1, -1):
+        poly = [coeffs[k] - k * poly[0]] + [
+            a - k * b for a, b in zip(poly, poly[1:])
+        ] + [poly[-1]]
+    return LaurentPoly({2 * e: c for e, c in enumerate(poly)})
 
 
 # -- matrix moves -------------------------------------------------------------

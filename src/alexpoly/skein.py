@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .balance import BalancedClass, Ring
 from .errors import NonIntegerExponent
-from .laurent import LaurentPoly, T, T_HALF
+from .laurent import LaurentPoly, T, T_HALF_DIFF
 
 
 @dataclass(frozen=True)
@@ -58,7 +58,7 @@ def check_twist_move(
     dp: LaurentPoly, dm: LaurentPoly, d0: LaurentPoly
 ) -> SkeinVerdict:
     """Check dp - dm = (t^(1/2) - t^(-1/2)) * d0 exactly."""
-    return _verdict(dp - dm, (T_HALF - LaurentPoly.half_power(-1)) * d0)
+    return _verdict(dp - dm, T_HALF_DIFF * d0)
 
 
 def _span_t(f: LaurentPoly) -> int:

@@ -1,8 +1,8 @@
 """Shared random generators and independent oracles for the test suite.
 
 The oracles here deliberately avoid the library's own code paths:
-determinants are expanded over permutations, products are convolved on
-raw dicts, and parities are counted by inversions.
+determinants are expanded over permutations or cofactors, products are
+convolved on raw dicts, and parities are counted by inversions.
 """
 from __future__ import annotations
 
@@ -66,6 +66,25 @@ def perm_det_oracle(entries) -> LaurentPoly:
         for i, j in enumerate(perm):
             term = dict_product_oracle(term, entries[i][j])
         total = total + term
+    return total
+
+
+def cofactor_det_oracle(rows) -> LaurentPoly:
+    """Determinant by cofactor expansion along the first row (Laurent entries)."""
+    n = len(rows)
+    if n == 0:
+        return LaurentPoly.constant(1)
+    if n == 1:
+        return rows[0][0]
+    if n == 2:
+        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
+    total = LaurentPoly()
+    for j, head in enumerate(rows[0]):
+        if not head:
+            continue
+        minor = [[row[c] for c in range(n) if c != j] for row in rows[1:]]
+        term = head * cofactor_det_oracle(minor)
+        total = total + term if j % 2 == 0 else total - term
     return total
 
 

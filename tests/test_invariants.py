@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from alexpoly import (
     ArfData,
     BalancedClass,
+    InvariantReport,
     LaurentPoly,
     NonIntegerExponent,
     NormalizedInput,
@@ -80,6 +82,25 @@ class TestAlexanderClasses:
         assert out.polynomial == 4 * (T - 1)
         assert out.scalars["determinant_at_one"] == 0
         assert out.scalars["pseudo_alinking"] == 4
+        assert dict(out.scalars) == {"determinant_at_one": 0, "pseudo_alinking": 4}
+
+    def test_report_is_immutable(self):
+        out = report(SeifertPair([[4]], [[4]], 1, 2))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            out.polynomial = ONE
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            out.scalars = {}
+        with pytest.raises(TypeError):
+            out.scalars["pseudo_alinking"] = 0
+        with pytest.raises(TypeError):
+            del out.scalars["determinant_at_one"]
+        assert out.scalars["pseudo_alinking"] == 4
+
+    def test_report_copies_scalars(self):
+        scalars = {"determinant_at_one": 0}
+        out = InvariantReport(ONE, z_alexander(V_ZERO), q_alexander(V_ZERO), scalars)
+        scalars["determinant_at_one"] = 5
+        assert out.scalars == {"determinant_at_one": 0}
 
 
 class TestNormalizedAlexander:

@@ -5,6 +5,7 @@ import pytest
 from alexpoly import (
     AlexanderMatrix,
     LaurentPoly,
+    NormalizedInput,
     NotSquare,
     NotUnimodular,
     ONE,
@@ -20,12 +21,21 @@ from alexpoly import (
     check_mars_symmetry,
     det,
     intersection_form,
+    normalized_alexander,
     normalized_matrix,
     stabilize,
     z_balanced_eq,
 )
-from alexpoly.seifert import as_int_matrix, identity, int_det, mat_mul, transpose
+from alexpoly.seifert import (
+    as_int_matrix,
+    identity,
+    int_det,
+    mat_mul,
+    pencil_det,
+    transpose,
+)
 from conftest import (
+    cofactor_det_oracle,
     perm_det_int_oracle,
     perm_det_oracle,
     random_int_matrix,
@@ -121,6 +131,23 @@ class TestDet:
         )
         m = AlexanderMatrix(entries)
         assert det(m) == perm_det_oracle(entries)
+
+
+class TestPencilDet:
+    def test_empty_pair(self):
+        assert pencil_det(SeifertPair([], [], 1, 2)) == ONE
+
+    def test_one_by_one(self):
+        assert pencil_det(SeifertPair([[4]], [[4]], 1, 2)) == 4 * T - 4
+
+    def test_twist_pairs(self):
+        assert pencil_det(V_PLUS) == T
+        assert pencil_det(V_MINUS) == T * T - T + 1
+        assert pencil_det(V_ZERO) == -T + 1
+
+    def test_not_square(self):
+        with pytest.raises(NotSquare):
+            pencil_det(SeifertPair([[1, 2]], [[0, 1]], 1, 2))
 
 
 class TestIntersectionForm:
@@ -332,3 +359,79 @@ def test_normalized_det_at_one_is_one_for_symplectic_intersection():
         pair = SeifertPair(s, transpose(s), 1, 1)
         assert intersection_form(pair) == j
         assert det(normalized_matrix(pair)).eval_at_one() == 1
+
+
+def _check_pencil(pair: SeifertPair) -> LaurentPoly:
+    """pencil_det against every oracle that is affordable at the pair's size."""
+    got = pencil_det(pair)
+    entries = alexander_matrix(pair).entries
+    size = len(entries)
+    assert got == det(AlexanderMatrix(entries))
+    if size <= 6:
+        assert got == perm_det_oracle(entries)
+    if size <= 4:
+        assert got == cofactor_det_oracle(entries)
+    return got
+
+
+def test_pencil_det_random_pairs():
+    rng = random.Random(SEED + 8)
+    for _ in range(300):
+        n = rng.randint(0, 12)
+        pair = SeifertPair(
+            random_int_matrix(rng, n, n), random_int_matrix(rng, n, n), 1, 2
+        )
+        got = _check_pencil(pair)
+        assert got.is_integral()
+        assert not got or (got.min_halfexp >= 0 and got.max_halfexp <= 2 * n)
+
+
+def test_pencil_det_knot_like_pairs():
+    rng = random.Random(SEED + 9)
+    for _ in range(150):
+        n = rng.randint(0, 12)
+        s = random_int_matrix(rng, n, n)
+        pair = SeifertPair(s, transpose(s), 1, 1)
+        got = _check_pencil(pair)
+        assert got.eval_at_one() == int_det(intersection_form(pair))
+
+
+def test_pencil_det_singular_pencils_are_zero():
+    rng = random.Random(SEED + 10)
+    for _ in range(150):
+        n = rng.randint(1, 12)
+        # The last column is the same combination of the others in S and
+        # in N, so t*S - N has dependent columns for every t.
+        weights = [rng.randint(-2, 2) for _ in range(n - 1)]
+        s, nm = (
+            [list(row) for row in random_int_matrix(rng, n, n)] for _ in range(2)
+        )
+        for m in (s, nm):
+            for row in m:
+                row[-1] = sum(w * v for w, v in zip(weights, row))
+        assert _check_pencil(SeifertPair(s, nm, 1, 2)) == ZERO
+
+
+def test_pencil_det_rank_deficient_s_lowers_degree():
+    rng = random.Random(SEED + 11)
+    for _ in range(150):
+        n = rng.randint(1, 12)
+        rank = rng.randint(0, n - 1)
+        s = mat_mul(random_int_matrix(rng, n, rank), random_int_matrix(rng, rank, n))
+        if rank == 0:
+            s = tuple((0,) * n for _ in range(n))
+        pair = SeifertPair(s, random_int_matrix(rng, n, n), 1, 2)
+        got = _check_pencil(pair)
+        assert not got or got.max_halfexp <= 2 * rank
+
+
+def test_normalized_alexander_is_shifted_pencil_det():
+    rng = random.Random(SEED + 12)
+    for _ in range(300):
+        k = rng.randint(0, 2)
+        size = rng.randint(0, 7)
+        s = random_int_matrix(rng, size, size)
+        nm = transpose(s) if rng.random() < 0.5 else random_int_matrix(rng, size, size)
+        pair = SeifertPair(s, nm, 2 * k + 1, 4 * k + 1)
+        data = NormalizedInput(pair, middle_condition=True)
+        assert normalized_alexander(data) == det(normalized_matrix(pair))
