@@ -32,25 +32,15 @@ def z_balanced_eq(f: LaurentPoly, g: LaurentPoly) -> bool:
 
     Both inputs must use integer powers of t only.
     """
-    _require_integral(f)
-    _require_integral(g)
-    if not f or not g:
-        return f == g
-    shifted = g.shift(f.min_halfexp - g.min_halfexp)
-    return f == shifted or f == -shifted
+    return canonicalize(f, Ring.Z) == canonicalize(g, Ring.Z)
 
 
 def q_balanced_eq(f: LaurentPoly, g: LaurentPoly) -> bool:
     """True iff f = r*t^n * g for some integer n and nonzero rational r.
 
-    Decided over exact integers by cross-multiplying with the contents:
-    f*content(g) must be a unit multiple of a shift of g*content(f).
+    Both inputs must use integer powers of t only.
     """
-    _require_integral(f)
-    _require_integral(g)
-    if not f or not g:
-        return f == g
-    return z_balanced_eq(f * g.content(), g * f.content())
+    return canonicalize(f, Ring.Q) == canonicalize(g, Ring.Q)
 
 
 def canonicalize(f: LaurentPoly, ring: Ring) -> LaurentPoly:

@@ -9,7 +9,9 @@ Four document kinds exist:
     {"kind": "arf", "a": [int], "b": [int]}
 
 Laurent term keys are half-exponents as decimal strings: the key k maps
-a coefficient onto t^(k/2), so even keys are integer powers of t.
+a coefficient onto t^(k/2), so even keys are integer powers of t.  A key
+is accepted only in the form str(k) writes; integers are JSON integers,
+never true/false.  Nesting too deep to decode is an invalid document.
 """
 from __future__ import annotations
 
@@ -53,8 +55,8 @@ def laurent_from_doc(obj: Any) -> LaurentPoly:
             halfexp = int(key)
         except (TypeError, ValueError):
             raise InvalidDocument(f"bad half-exponent key {key!r}") from None
-        _require(isinstance(coeff, int) and not isinstance(coeff, bool),
-                 f"coefficient for key {key!r} must be an integer")
+        _require(key == str(halfexp), f"bad half-exponent key {key!r}")
+        _require(type(coeff) is int, f"coefficient for key {key!r} must be an integer")
         out[halfexp] = coeff
     return LaurentPoly(out)
 
@@ -68,8 +70,7 @@ def seifert_pair_from_doc(obj: Any) -> SeifertPair:
     _require(obj.get("kind") == "seifert_pair", "expected a seifert_pair document")
     for key in ("p", "n", "S", "N"):
         _require(key in obj, f"seifert_pair document needs {key!r}")
-    _require(isinstance(obj["p"], int) and isinstance(obj["n"], int),
-             "p and n must be integers")
+    _require(type(obj["p"]) is int and type(obj["n"]) is int, "p and n must be integers")
     try:
         return SeifertPair(obj["S"], obj["N"], obj["p"], obj["n"])
     except (AlexpolyError, ValueError, TypeError) as exc:
@@ -103,8 +104,7 @@ def arf_from_doc(obj: Any) -> ArfData:
     _require(obj.get("kind") == "arf", "expected an arf document")
     for key in ("a", "b"):
         _require(isinstance(obj.get(key), list), f"arf document needs a list {key!r}")
-        _require(all(isinstance(v, int) and not isinstance(v, bool) for v in obj[key]),
-                 f"arf list {key!r} must hold integers")
+        _require(all(type(v) is int for v in obj[key]), f"arf list {key!r} must hold integers")
     try:
         return ArfData(len(obj["a"]), obj["a"], obj["b"])
     except (AlexpolyError, ValueError) as exc:
@@ -130,6 +130,6 @@ def load_document(path: str) -> Document:
     try:
         with open(path, encoding="utf-8") as handle:
             obj = json.load(handle)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise InvalidDocument(f"{path}: {exc}") from None
     return parse_document(obj)

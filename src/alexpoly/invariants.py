@@ -14,17 +14,10 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping
 
-from .balance import BalancedClass, Ring
-from .errors import (
-    NonIntegerExponent,
-    NotDivisible,
-    PreconditionViolated,
-    ShapeMismatch,
-)
-from .laurent import LaurentPoly, T, T_HALF_DIFF, ZERO
+from .balance import BalancedClass, Ring, _require_integral
+from .errors import NotDivisible, PreconditionViolated, ShapeMismatch
+from .laurent import LaurentPoly, T_HALF_DIFF, T_MINUS_ONE, ZERO
 from .seifert import SeifertPair, int_det, intersection_form, pencil_det
-
-_T_MINUS_ONE = T - 1
 
 
 @dataclass(frozen=True)
@@ -122,11 +115,8 @@ def report(pair: SeifertPair) -> InvariantReport:
 
 def pseudo_alinking_from_poly(delta: LaurentPoly) -> int:
     """|delta/(t-1) at t=1| for a polynomial divisible by t-1 (0 for 0)."""
-    if not delta.is_integral():
-        raise NonIntegerExponent(f"{delta} has half powers of t")
-    if not delta:
-        return 0
-    return abs(delta.exact_div(_T_MINUS_ONE).eval_at_one())
+    _require_integral(delta)
+    return abs(delta.exact_div(T_MINUS_ONE).eval_at_one())
 
 
 def _first_row_zero_identity_below(form) -> bool:
@@ -175,15 +165,11 @@ def pseudo_twinkling_from_pair(pair: SeifertPair) -> int:
 
 def first_order_at_one(f: LaurentPoly) -> int:
     """f/(t^(1/2) - t^(-1/2)) evaluated at t = 1 (0 for the zero input)."""
-    if not f:
-        return 0
     return f.exact_div(T_HALF_DIFF).eval_at_one()
 
 
 def second_order_at_one(f: LaurentPoly) -> int:
     """f/(t^(1/2) - t^(-1/2))^2 evaluated at t = 1 (0 for the zero input)."""
-    if not f:
-        return 0
     return f.exact_div(T_HALF_DIFF).exact_div(T_HALF_DIFF).eval_at_one()
 
 

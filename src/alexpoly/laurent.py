@@ -13,9 +13,8 @@ import re
 
 from .errors import NotDivisible
 
-_TERM_CONST = re.compile(r"^(-?\d+)$")
-_TERM_WHOLE = re.compile(r"^(-?\d+)\*t\^(-?\d+)$")
-_TERM_HALF = re.compile(r"^(-?\d+)\*t\^\((-?\d+)/2\)$")
+# One term: c, c*t^n or c*t^(k/2); parse() rejects what str() would not write.
+_TERM = re.compile(r"(-?\d+)(?:\*t\^(?:(-?\d+)|\((-?\d+)/2\)))?", re.ASCII)
 
 
 class LaurentPoly:
@@ -64,42 +63,25 @@ class LaurentPoly:
     def parse(cls, text: str) -> LaurentPoly:
         """Parse the canonical rendering produced by ``str``.
 
-        The grammar is exact: terms in strictly ascending exponent order
-        joined by `` + ``, each term ``c``, ``c*t^n`` or ``c*t^(k/2)``
-        with k odd; the zero polynomial is the single character ``0``.
+        A text is accepted exactly when ``str(parse(text)) == text``: terms
+        in strictly ascending exponent order joined by `` + ``, each term
+        ``c``, ``c*t^n`` or ``c*t^(k/2)`` with k odd, nonzero coefficients
+        without leading zeros; the zero polynomial is the single ``0``.
 
         >>> LaurentPoly.parse('-1*t^-1 + 2 + -1*t^1')
         LaurentPoly('-1*t^-1 + 2 + -1*t^1')
         """
-        text = text.strip()
-        if text == "0":
-            return cls()
         terms: dict[int, int] = {}
-        last = None
         for part in text.split(" + "):
-            m = _TERM_CONST.match(part)
-            if m:
-                coeff, halfexp = int(m.group(1)), 0
-            else:
-                m = _TERM_WHOLE.match(part)
-                if m:
-                    coeff, halfexp = int(m.group(1)), 2 * int(m.group(2))
-                else:
-                    m = _TERM_HALF.match(part)
-                    if m is None:
-                        raise ValueError(f"cannot parse term {part!r}")
-                    coeff, halfexp = int(m.group(1)), int(m.group(2))
-                    if halfexp % 2 == 0:
-                        raise ValueError(
-                            f"term {part!r} writes an integer power in half form"
-                        )
-            if coeff == 0:
-                raise ValueError(f"zero coefficient in term {part!r}")
-            if last is not None and halfexp <= last:
-                raise ValueError("terms must appear in ascending exponent order")
-            last = halfexp
-            terms[halfexp] = coeff
-        return cls(terms)
+            m = _TERM.fullmatch(part)
+            if m is None:
+                raise ValueError(f"cannot parse term {part!r}")
+            coeff, whole, half = m.groups()
+            terms[2 * int(whole) if whole else int(half) if half else 0] = int(coeff)
+        f = cls(terms)
+        if str(f) != text:
+            raise ValueError(f"{text!r} is not in canonical form")
+        return f
 
     # -- basic queries ----------------------------------------------------
 
@@ -157,11 +139,7 @@ class LaurentPoly:
             return NotImplemented
         out = dict(self._terms)
         for k, c in other._terms.items():
-            v = out.get(k, 0) + c
-            if v:
-                out[k] = v
-            else:
-                out.pop(k, None)
+            out[k] = out.get(k, 0) + c
         return LaurentPoly(out)
 
     __radd__ = __add__
@@ -188,11 +166,7 @@ class LaurentPoly:
         for k, c in self._terms.items():
             for j, d in other._terms.items():
                 e = k + j
-                v = out.get(e, 0) + c * d
-                if v:
-                    out[e] = v
-                else:
-                    out.pop(e, None)
+                out[e] = out.get(e, 0) + c * d
         return LaurentPoly(out)
 
     __rmul__ = __mul__
@@ -291,5 +265,6 @@ class LaurentPoly:
 ZERO = LaurentPoly()
 ONE = LaurentPoly.constant(1)
 T = LaurentPoly.t_power(1)
+T_MINUS_ONE = T - 1
 T_HALF = LaurentPoly.half_power(1)
 T_HALF_DIFF = T_HALF - LaurentPoly.half_power(-1)  # t^(1/2) - t^(-1/2)

@@ -35,7 +35,7 @@ def as_int_matrix(rows: Iterable[Iterable[int]]) -> IntMatrix:
     out = tuple(tuple(row) for row in rows)
     for row in out:
         for v in row:
-            if not isinstance(v, int):
+            if type(v) is not int:
                 raise TypeError(f"matrix entries must be ints, got {v!r}")
     if out and any(len(r) != len(out[0]) for r in out):
         raise ShapeMismatch("rows have unequal lengths")

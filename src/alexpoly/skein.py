@@ -16,9 +16,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .balance import BalancedClass, Ring
-from .errors import NonIntegerExponent
-from .laurent import LaurentPoly, T, T_HALF_DIFF
+from .balance import BalancedClass, Ring, _require_integral
+from .laurent import LaurentPoly, T_HALF_DIFF, T_MINUS_ONE
 
 
 @dataclass(frozen=True)
@@ -49,9 +48,8 @@ def check_pass_move(
 ) -> SkeinVerdict:
     """Check dp - dm = (t - 1) * d0 exactly (integer powers only)."""
     for f in (dp, dm, d0):
-        if not f.is_integral():
-            raise NonIntegerExponent(f"{f} has half powers of t")
-    return _verdict(dp - dm, (T - 1) * d0)
+        _require_integral(f)
+    return _verdict(dp - dm, T_MINUS_ONE * d0)
 
 
 def check_twist_move(
@@ -85,8 +83,8 @@ def find_representatives(
     total shift, ties broken by exponent magnitude, then positive
     exponent, then positive sign, separately for the plus, minus and
     zero slots.  The first candidate that makes check_pass_move hold is
-    re-verified and returned; absence of a witness inside the window is
-    reported as found=False (it is not a proof of nonexistence).
+    returned; absence of a witness inside the window is reported as
+    found=False (it is not a proof of nonexistence).
     """
     for c in (cp, cm, c0):
         if c.ring is not Ring.Z:

@@ -2,7 +2,9 @@
 
 The oracles here deliberately avoid the library's own code paths:
 determinants are expanded over permutations or cofactors, products are
-convolved on raw dicts, and parities are counted by inversions.
+convolved on raw dicts, balanced equality is decided by cross-multiplying
+contents rather than by canonical forms, and parities are counted by
+inversions.
 """
 from __future__ import annotations
 
@@ -46,6 +48,22 @@ def dict_product_oracle(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
         for j, d in g.terms.items():
             out[k + j] = out.get(k + j, 0) + c * d
     return LaurentPoly(out)
+
+
+def z_balanced_oracle(f: LaurentPoly, g: LaurentPoly) -> bool:
+    """f = +-t^n * g, by aligning the lowest exponents and comparing."""
+    if not f or not g:
+        return f == g
+    shifted = g.shift(f.min_halfexp - g.min_halfexp)
+    return f == shifted or f == -shifted
+
+
+def q_balanced_oracle(f: LaurentPoly, g: LaurentPoly) -> bool:
+    """f = r*t^n * g, by cross-multiplying with the contents: f*content(g)
+    must be a unit multiple of a shift of g*content(f)."""
+    if not f or not g:
+        return f == g
+    return z_balanced_oracle(f * g.content(), g * f.content())
 
 
 def _parity(perm: tuple[int, ...]) -> int:

@@ -14,7 +14,7 @@ from alexpoly import (
     q_balanced_eq,
     z_balanced_eq,
 )
-from conftest import random_poly
+from conftest import q_balanced_oracle, random_poly, z_balanced_oracle
 
 SEED = 20260810
 CASES = 1000
@@ -121,9 +121,13 @@ def test_canonical_form_decides_equivalence_randomized():
     rng = random.Random(SEED + 2)
     for _ in range(CASES):
         f = random_poly(rng, integral=True)
-        g = rng.choice((random_poly(rng, integral=True), _random_unit_multiple(rng, f)))
-        assert z_balanced_eq(f, g) == (canonicalize(f, Ring.Z) == canonicalize(g, Ring.Z))
-        assert q_balanced_eq(f, g) == (canonicalize(f, Ring.Q) == canonicalize(g, Ring.Q))
+        g = rng.choice((
+            random_poly(rng, integral=True),
+            _random_unit_multiple(rng, f),
+            rng.choice((2, -3, 6)) * _random_unit_multiple(rng, f),
+        ))
+        assert z_balanced_eq(f, g) == z_balanced_oracle(f, g)
+        assert q_balanced_eq(f, g) == q_balanced_oracle(f, g)
 
 
 def test_canonicalize_kills_unit_multiples_randomized():

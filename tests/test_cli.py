@@ -200,3 +200,36 @@ def test_wrong_document_kind(tmp_path, capsys):
 def test_not_square_is_precondition_error(tmp_path, capsys):
     doc = {"kind": "seifert_pair", "p": 1, "n": 2, "S": [[1, 0]], "N": [[0, 0]]}
     assert main(["alex", write(tmp_path, "p.json", doc)]) == 3
+
+
+def test_boolean_entries_are_input_errors(tmp_path, capsys):
+    for doc in (
+        {"kind": "seifert_pair", "p": 1, "n": 2, "S": [[True]], "N": [[4]]},
+        {"kind": "seifert_pair", "p": True, "n": 2, "S": [[4]], "N": [[4]]},
+    ):
+        assert main(["alink", write(tmp_path, "b.json", doc)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+
+
+def test_non_canonical_term_key_is_input_error(tmp_path, capsys):
+    for key in ("1_0", " 2 ", "+4", "007", "-0", "\u0663"):
+        doc = {"kind": "laurent", "terms": {"0": -1, key: 1}}
+        assert main(["alink", write(tmp_path, "k.json", doc)]) == 2
+        assert len(capsys.readouterr().err.splitlines()) == 1
+
+
+def test_deeply_nested_json_is_input_error(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
+    assert main(["alex", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+
+
+def test_non_canonical_polynomial_argument_is_input_error(capsys):
+    for text in ("1*t^0", "007", " 1 ", "\u0663", "1 + 1"):
+        assert main(["canon", "--ring", "Z", "--", text]) == 2
+        assert len(capsys.readouterr().err.splitlines()) == 1

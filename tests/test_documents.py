@@ -35,6 +35,12 @@ def test_laurent_bad_key():
         laurent_from_doc({"kind": "laurent", "terms": {"half": 1}})
 
 
+@pytest.mark.parametrize("key", ["1_0", " 2 ", "+4", "007", "-0", "\u0663"])
+def test_laurent_rejects_non_canonical_key(key):
+    with pytest.raises(InvalidDocument):
+        laurent_from_doc({"kind": "laurent", "terms": {key: 1}})
+
+
 def test_laurent_bad_coefficient():
     for coeff in (1.5, "1", True, None):
         with pytest.raises(InvalidDocument):
@@ -62,6 +68,20 @@ def test_seifert_pair_errors():
         seifert_pair_from_doc(
             {"kind": "seifert_pair", "p": 1, "n": 2, "S": [[1.5]], "N": [[1]]}
         )
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"kind": "seifert_pair", "p": True, "n": 2, "S": [[4]], "N": [[4]]},
+        {"kind": "seifert_pair", "p": 1, "n": True, "S": [[4]], "N": [[4]]},
+        {"kind": "seifert_pair", "p": 1, "n": 2, "S": [[True]], "N": [[4]]},
+        {"kind": "seifert_pair", "p": 1, "n": 2, "S": [[4]], "N": [[False]]},
+    ],
+)
+def test_seifert_pair_rejects_booleans(doc):
+    with pytest.raises(InvalidDocument):
+        seifert_pair_from_doc(doc)
 
 
 def test_triple_document():
@@ -128,3 +148,10 @@ def test_load_document(tmp_path):
     bad.write_text("{not json", encoding="utf-8")
     with pytest.raises(InvalidDocument):
         load_document(str(bad))
+
+
+def test_load_document_too_deep(tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
+    with pytest.raises(InvalidDocument):
+        load_document(str(deep))

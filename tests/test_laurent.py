@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from alexpoly import LaurentPoly, NotDivisible, ONE, T, T_HALF, ZERO
 from conftest import dict_product_oracle, random_nonzero_poly, random_poly
@@ -135,6 +137,25 @@ class TestGrammar:
             with pytest.raises(ValueError):
                 LaurentPoly.parse(text)
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "1*t^0",
+            "007",
+            "1*t^-0",
+            "-0",
+            "1*t^(03/2)",
+            "1 + 1",
+            " 1 ",
+            "\u0663",  # ARABIC-INDIC DIGIT THREE
+            "1*t^\u0661",  # ARABIC-INDIC DIGIT ONE
+            "1*t^01",
+        ],
+    )
+    def test_parse_rejects_non_canonical(self, text):
+        with pytest.raises(ValueError):
+            LaurentPoly.parse(text)
+
 
 class TestQueries:
     def test_zero_has_no_degree_span(self):
@@ -225,3 +246,42 @@ def test_mul_matches_dict_oracle_randomized():
         f = random_poly(rng)
         g = random_poly(rng)
         assert f * g == dict_product_oracle(f, g)
+
+
+# Near-misses of the grammar: hand-built terms with signs, leading zeros
+# and non-ASCII digits, and canonical renderings with one small edit.
+_DIGITS = st.text(alphabet="0123456789\u0663", min_size=1, max_size=3)
+_SIGNED = st.builds(lambda sign, d: sign + d, st.sampled_from(["", "-", "+"]), _DIGITS)
+_TERM_TEXT = st.one_of(
+    _SIGNED,
+    st.builds("{}*t^{}".format, _SIGNED, _SIGNED),
+    st.builds("{}*t^({}/2)".format, _SIGNED, _SIGNED),
+    st.text(alphabet="0123456789-+*t^()/ ", max_size=8),
+)
+_BUILT = st.builds(
+    lambda pad, terms, sep: pad + sep.join(terms) + pad,
+    st.sampled_from(["", "", " "]),
+    st.lists(_TERM_TEXT, min_size=1, max_size=4),
+    st.sampled_from([" + ", " + ", " + ", "+", " +"]),
+)
+_RENDERING = st.builds(
+    lambda terms: str(LaurentPoly(terms)),
+    st.dictionaries(st.integers(-12, 12), st.integers(-12, 12), max_size=4),
+)
+_EDITED = st.builds(
+    lambda text, at, cut, piece: text[:at] + piece + text[at + cut:],
+    _RENDERING,
+    st.integers(0, 40),
+    st.integers(0, 2),
+    st.sampled_from(["", "0", "1", "-", "+", " ", "^0", "*t^1", " + 1", "\u0663"]),
+)
+
+
+@settings(derandomize=True, database=None, max_examples=1000, deadline=None)
+@given(st.one_of(_BUILT, _EDITED))
+def test_parse_accepts_only_canonical_renderings(text):
+    try:
+        f = LaurentPoly.parse(text)
+    except ValueError:
+        return
+    assert str(f) == text
