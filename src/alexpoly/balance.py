@@ -55,9 +55,12 @@ def canonicalize(f: LaurentPoly, ring: Ring) -> LaurentPoly:
         return f
     terms = f.terms
     low = min(terms)
-    scale = f.content() if ring is Ring.Q else 1
-    if terms[max(terms)] < 0:
-        scale = -scale
+    negative = terms[max(terms)] < 0
+    if ring is Ring.Z:
+        if negative:
+            return LaurentPoly({k - low: -v for k, v in terms.items()})
+        return f if low == 0 else f.shift(-low)
+    scale = -f.content() if negative else f.content()
     return LaurentPoly({k - low: v // scale for k, v in terms.items()})
 
 

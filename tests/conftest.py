@@ -3,7 +3,8 @@
 The oracles here deliberately avoid the library's own code paths:
 determinants are expanded over permutations or cofactors, products are
 convolved on raw dicts, balanced equality is decided by cross-multiplying
-contents rather than by canonical forms, and parities are counted by
+contents rather than by canonical forms, representative witnesses are
+found by trying every candidate triple, and parities are counted by
 inversions.
 """
 from __future__ import annotations
@@ -11,7 +12,14 @@ from __future__ import annotations
 import itertools
 import random
 
-from alexpoly import LaurentPoly, SeifertPair
+from alexpoly import (
+    BalancedClass,
+    LaurentPoly,
+    RepresentativeWitness,
+    SeifertPair,
+    check_pass_move,
+    search_window,
+)
 from alexpoly.seifert import IntMatrix, as_int_matrix, transpose
 
 
@@ -64,6 +72,31 @@ def q_balanced_oracle(f: LaurentPoly, g: LaurentPoly) -> bool:
     if not f or not g:
         return f == g
     return z_balanced_oracle(f * g.content(), g * f.content())
+
+
+def find_representatives_oracle(
+    cp: BalancedClass, cm: BalancedClass, c0: BalancedClass
+) -> RepresentativeWitness:
+    """Sort all (4W+2)^3 candidate triples by total shift (stable over the
+    product order of the singles) and return the first that verifies."""
+    w = search_window(cp, cm, c0)
+    singles = sorted(
+        itertools.product(range(-w, w + 1), (1, -1)),
+        key=lambda ne: (abs(ne[0]), ne[0] < 0, ne[1] < 0),
+    )
+    candidates = sorted(
+        itertools.product(singles, repeat=3),
+        key=lambda triple: sum(abs(n) for n, _ in triple),
+    )
+    reps = (cp.representative, cm.representative, c0.representative)
+    for triple in candidates:
+        shifted = [
+            rep.shift(2 * n) * sign for rep, (n, sign) in zip(reps, triple)
+        ]
+        if check_pass_move(*shifted).holds:
+            shifts = tuple((sign, n) for n, sign in triple)
+            return RepresentativeWitness(found=True, shifts=shifts)
+    return RepresentativeWitness(found=False)
 
 
 def _parity(perm: tuple[int, ...]) -> int:

@@ -143,3 +143,20 @@ def test_evaluation_at_one_is_class_invariant_randomized():
         f = random_poly(rng, integral=True)
         g = _random_unit_multiple(rng, f)
         assert abs(f.eval_at_one()) == abs(g.eval_at_one())
+
+
+def test_canonical_form_is_the_normalized_class_member_randomized():
+    # Lowest exponent 0, positive leading coefficient and, over Q, content 1
+    # single out one member of each class; the oracles confirm membership.
+    rng = random.Random(SEED + 5)
+    for _ in range(CASES):
+        f = random_poly(rng, integral=True)
+        if rng.random() < 0.5:
+            f = rng.choice((1, -1, 2, -6)) * _random_unit_multiple(rng, f)
+        for ring, oracle in ((Ring.Z, z_balanced_oracle), (Ring.Q, q_balanced_oracle)):
+            c = canonicalize(f, ring)
+            assert oracle(f, c)
+            if f:
+                terms = c.terms
+                assert min(terms) == 0 and terms[max(terms)] > 0
+                assert ring is Ring.Z or c.content() == 1

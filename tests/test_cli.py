@@ -1,5 +1,6 @@
 import json
 
+from alexpoly import LaurentPoly, Ring, canonicalize, check_pass_move
 from alexpoly.cli import main
 
 PAIR_4 = {"kind": "seifert_pair", "p": 1, "n": 2, "S": [[4]], "N": [[4]]}
@@ -157,6 +158,42 @@ def test_find_reps_not_found(tmp_path, capsys):
     }
     assert main(["find-reps", write(tmp_path, "t.json", doc)]) == 1
     assert "found: false" in capsys.readouterr().out
+
+
+def _pass_doc(*term_maps):
+    doc = {"kind": "triple", "move": "pass"}
+    for label, terms in zip(("plus", "minus", "zero"), term_maps):
+        doc[label] = {"kind": "laurent", "terms": terms}
+    return doc
+
+
+def test_find_reps_span_30_window_91(tmp_path, capsys):
+    # Three polynomials spanning t^0..t^30 give W = 1 + 3*30.
+    span_30 = {"0": 1, "60": 1}
+    for zero, found in ((span_30, True), ({"0": 1, "60": -1}, False)):
+        path = write(tmp_path, "t.json", _pass_doc(span_30, span_30, zero))
+        assert main(["find-reps", "--json", path]) == (0 if found else 1)
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["window"] == 91
+        assert payload["found"] is found
+        reps = [
+            canonicalize(LaurentPoly({int(k): v for k, v in terms.items()}), Ring.Z)
+            for terms in (span_30, span_30, zero)
+        ]
+        shifted = [
+            rep.shift(2 * m["exponent"]) * m["sign"]
+            for rep, m in zip(reps, payload["shifts"])
+        ]
+        assert not found or check_pass_move(*shifted).holds
+
+
+def test_find_reps_window_above_cap_is_precondition_error(tmp_path, capsys):
+    doc = _pass_doc({"0": 1, "256": 1}, {"0": 1}, {"0": 1})
+    assert main(["find-reps", write(tmp_path, "t.json", doc)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert "129" in captured.err
 
 
 def test_find_reps_rejects_twist(tmp_path, capsys):

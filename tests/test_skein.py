@@ -1,3 +1,4 @@
+import collections
 import random
 
 import pytest
@@ -7,6 +8,7 @@ from alexpoly import (
     LaurentPoly,
     NonIntegerExponent,
     ONE,
+    PreconditionViolated,
     Ring,
     T,
     T_HALF,
@@ -16,7 +18,8 @@ from alexpoly import (
     find_representatives,
     search_window,
 )
-from conftest import random_poly
+from alexpoly.skein import MAX_SEARCH_WINDOW
+from conftest import find_representatives_oracle, random_poly
 
 SEED = 20260813
 
@@ -123,3 +126,73 @@ def test_found_witnesses_always_verify_randomized():
             for c, (sign, n) in zip(classes, witness.shifts)
         ]
         assert check_pass_move(*shifted).holds
+
+
+def _small(rng, max_terms=2, lo=-2):
+    return random_poly(
+        rng, integral=True, max_terms=max_terms,
+        halfexp_lo=lo, halfexp_hi=2, coeff_lo=-3, coeff_hi=3,
+    )
+
+
+def _search_case(rng, kind, slot):
+    """One pass-move triple of the given kind; see the oracle suite."""
+    if kind == 0:  # planted witness
+        dm, d0 = _small(rng), _small(rng)
+        return [dm + (T - 1) * d0, dm, d0]
+    if kind == 1:  # a zero class in the given slot, mostly with a witness
+        dm, d0 = _small(rng), _small(rng)
+        planted = rng.random() < 0.7
+        if slot == 0:
+            return [ZERO, -(T - 1) * d0 if planted else dm, d0]
+        if slot == 1:
+            return [(T - 1) * d0 if planted else dm, ZERO, d0]
+        return [dm if planted else _small(rng), dm, ZERO]
+    if kind == 2:  # planted, then one slot perturbed by a monomial
+        dm, d0 = _small(rng, lo=0), _small(rng, 1, lo=0)
+        triple = [dm + (T - 1) * d0, dm, d0]
+        bump = LaurentPoly({2 * rng.randint(0, 1): rng.choice((1, -1))})
+        triple[slot] = triple[slot] + bump
+        return triple
+    if kind == 3:  # both representatives vanish at t = 1, with a witness
+        a, b = _small(rng, lo=0), _small(rng, lo=0)
+        return [(T - 1) * a, (T - 1) * b, a - b]
+    a, b = _small(rng, 1, lo=0), _small(rng, 1, lo=0)  # vanish at t = 1
+    return [(T - 1) * a, (T - 1) * b, _small(rng, lo=0)]
+
+
+def test_search_matches_brute_force_oracle_randomized():
+    rng = random.Random(SEED + 3)
+    outcomes = collections.Counter()
+    for i in range(1000):
+        kind, slot = i % 5, (i // 5) % 3
+        while True:
+            polys = [
+                f.shift(2 * rng.randint(-3, 3)) * rng.choice((1, -1))
+                for f in _search_case(rng, kind, slot)
+            ]
+            classes = _z_classes(*polys)
+            if search_window(*classes) <= 6:
+                break
+        witness = find_representatives(*classes)
+        expected = find_representatives_oracle(*classes)
+        assert witness == expected
+        outcomes[kind, expected.found] += 1
+    # Each kind keeps producing the outcome it is there to exercise.
+    assert all(outcomes[kind, False] > 50 for kind in (2, 4))
+    assert all(outcomes[kind, True] > 50 for kind in (0, 1, 3))
+
+
+class TestSearchWindowCap:
+    def test_window_above_cap_is_rejected(self):
+        classes = _z_classes(T**MAX_SEARCH_WINDOW + 1, ONE, ONE)
+        assert search_window(*classes) == MAX_SEARCH_WINDOW + 1
+        with pytest.raises(PreconditionViolated):
+            find_representatives(*classes)
+
+    def test_window_at_cap_is_searched(self):
+        dm, d0 = 1 + T**43, 1 + T**42
+        classes = _z_classes(dm + (T - 1) * d0, dm, d0)
+        assert search_window(*classes) == MAX_SEARCH_WINDOW
+        witness = find_representatives(*classes)
+        assert witness.shifts == ((1, 1), (1, 0), (1, 0))
