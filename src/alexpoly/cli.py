@@ -19,6 +19,7 @@ from .documents import (
     Triple,
     laurent_to_doc,
     load_document,
+    require_halfexp_cap,
 )
 from .errors import AlexpolyError, InvalidDocument
 from .invariants import (
@@ -138,9 +139,13 @@ def _cmd_arf(args) -> int:
 
 def _parse_poly(text: str) -> LaurentPoly:
     try:
-        return LaurentPoly.parse(text)
+        f = LaurentPoly.parse(text)
     except ValueError as exc:
         raise InvalidDocument(str(exc)) from None
+    if f:
+        require_halfexp_cap(f.min_halfexp)
+        require_halfexp_cap(f.max_halfexp)
+    return f
 
 
 def _cmd_balanced_eq(args) -> int:

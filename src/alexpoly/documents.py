@@ -12,6 +12,11 @@ Laurent term keys are half-exponents as decimal strings: the key k maps
 a coefficient onto t^(k/2), so even keys are integer powers of t.  A key
 is accepted only in the form str(k) writes; integers are JSON integers,
 never true/false.  Nesting too deep to decode is an invalid document.
+
+Two size limits bound the work any document can ask for: every
+half-exponent k satisfies |k| <= MAX_HALF_EXPONENT, and S and N have at
+most MAX_MATRIX_DIM rows and columns.  They apply here, where input comes
+in, and not to the arithmetic itself.
 """
 from __future__ import annotations
 
@@ -23,6 +28,15 @@ from .errors import AlexpolyError, InvalidDocument
 from .invariants import ArfData
 from .laurent import LaurentPoly
 from .seifert import SeifertPair
+
+
+# A quotient by t - 1 can have a term at every exponent between the
+# dividend's lowest and highest: alink on t^50000 - 1 writes 50,000 terms
+# (0.2 s for the whole process at the cap on a 2-vCPU Xeon VM).
+MAX_HALF_EXPONENT = 100_000
+# pencil_det does n + 1 integer Bareiss eliminations of an n x n matrix:
+# about 3.5 s at n = 64 with entries in [-3, 3] on a 2-vCPU Xeon VM.
+MAX_MATRIX_DIM = 64
 
 
 @dataclass(frozen=True)
@@ -44,6 +58,14 @@ def _require(condition: bool, message: str) -> None:
         raise InvalidDocument(message)
 
 
+def require_halfexp_cap(halfexp: int) -> None:
+    """Raise InvalidDocument when |halfexp| exceeds MAX_HALF_EXPONENT."""
+    _require(
+        abs(halfexp) <= MAX_HALF_EXPONENT,
+        f"half-exponent {halfexp} is past the cap of {MAX_HALF_EXPONENT}",
+    )
+
+
 def laurent_from_doc(obj: Any) -> LaurentPoly:
     _require(isinstance(obj, dict), "laurent document must be an object")
     _require(obj.get("kind") == "laurent", "expected a laurent document")
@@ -56,6 +78,7 @@ def laurent_from_doc(obj: Any) -> LaurentPoly:
         except (TypeError, ValueError):
             raise InvalidDocument(f"bad half-exponent key {key!r}") from None
         _require(key == str(halfexp), f"bad half-exponent key {key!r}")
+        require_halfexp_cap(halfexp)
         _require(type(coeff) is int, f"coefficient for key {key!r} must be an integer")
         out[halfexp] = coeff
     return LaurentPoly(out)
@@ -71,6 +94,16 @@ def seifert_pair_from_doc(obj: Any) -> SeifertPair:
     for key in ("p", "n", "S", "N"):
         _require(key in obj, f"seifert_pair document needs {key!r}")
     _require(type(obj["p"]) is int and type(obj["n"]) is int, "p and n must be integers")
+    for key in ("S", "N"):
+        rows = obj[key]
+        _require(
+            isinstance(rows, list) and all(isinstance(row, list) for row in rows),
+            f"{key} must be a list of rows",
+        )
+        _require(
+            len(rows) <= MAX_MATRIX_DIM and all(len(row) <= MAX_MATRIX_DIM for row in rows),
+            f"{key} is past the cap of {MAX_MATRIX_DIM} rows and columns",
+        )
     try:
         return SeifertPair(obj["S"], obj["N"], obj["p"], obj["n"])
     except (AlexpolyError, ValueError, TypeError) as exc:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import re
+from heapq import heappop, heappush
 
 from .errors import NotDivisible
 
@@ -34,14 +35,11 @@ class LaurentPoly:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: dict[int, int] | None = None):
-        clean = {}
-        if terms:
-            for k, c in terms.items():
-                if not isinstance(k, int) or not isinstance(c, int):
-                    raise TypeError("half-exponents and coefficients must be ints")
-                if c:
-                    clean[k] = c
-        self._terms = clean
+        terms = dict(terms) if terms else {}
+        for k, c in terms.items():
+            if not isinstance(k, int) or not isinstance(c, int):
+                raise TypeError("half-exponents and coefficients must be ints")
+        _wrap(terms, self)
 
     # -- constructors ----------------------------------------------------
 
@@ -140,26 +138,31 @@ class LaurentPoly:
         out = dict(self._terms)
         for k, c in other._terms.items():
             out[k] = out.get(k, 0) + c
-        return LaurentPoly(out)
+        return _wrap(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> LaurentPoly:
-        return LaurentPoly({k: -c for k, c in self._terms.items()})
+        return _wrap({k: -c for k, c in self._terms.items()})
 
     def __sub__(self, other: int | LaurentPoly) -> LaurentPoly:
         if isinstance(other, int):
             other = LaurentPoly.constant(other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return self + (-other)
+        out = dict(self._terms)
+        for k, c in other._terms.items():
+            out[k] = out.get(k, 0) - c
+        return _wrap(out)
 
-    def __rsub__(self, other: int | LaurentPoly) -> LaurentPoly:
-        return (-self) + other
+    def __rsub__(self, other: int) -> LaurentPoly:
+        if not isinstance(other, int):
+            return NotImplemented
+        return LaurentPoly.constant(other) - self
 
     def __mul__(self, other: int | LaurentPoly) -> LaurentPoly:
         if isinstance(other, int):
-            return LaurentPoly({k: c * other for k, c in self._terms.items()})
+            return _wrap({k: c * other for k, c in self._terms.items()})
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         out: dict[int, int] = {}
@@ -167,7 +170,7 @@ class LaurentPoly:
             for j, d in other._terms.items():
                 e = k + j
                 out[e] = out.get(e, 0) + c * d
-        return LaurentPoly(out)
+        return _wrap(out)
 
     __rmul__ = __mul__
 
@@ -176,7 +179,7 @@ class LaurentPoly:
             if len(self._terms) == 1:
                 ((k, c),) = self._terms.items()
                 if c in (1, -1):
-                    return LaurentPoly({-k: c}) ** (-n)
+                    return _wrap({-k: c}) ** (-n)
             raise ValueError("only unit monomials have negative powers")
         if n == 0:
             return LaurentPoly.constant(1)
@@ -185,14 +188,21 @@ class LaurentPoly:
 
     def shift(self, halfexp: int) -> LaurentPoly:
         """Multiply by the monomial t^(halfexp/2)."""
-        return LaurentPoly({k + halfexp: c for k, c in self._terms.items()})
+        return _wrap({k + halfexp: c for k, c in self._terms.items()})
 
     def exact_div(self, other: LaurentPoly) -> LaurentPoly:
         """Exact quotient q with self = q * other over the integers.
 
-        Ascending-exponent long division; raises NotDivisible as soon as
-        a step would need a fractional coefficient or leave a remainder.
-        The zero polynomial divides into anything with quotient zero.
+        Ascending-exponent long division.  Each step takes the lowest
+        remaining term, which fixes one quotient term, and subtracts that
+        term times the divisor's other terms (its lowest term cancels by
+        construction).  Raises NotDivisible when a quotient coefficient
+        would be fractional or a remainder is left.  The zero polynomial
+        divides into anything with quotient zero.
+
+        Remaining keys come off a heap, so the cost is
+        O((terms(self) + terms(q) * terms(other)) * log) whatever the
+        exponent gaps: linear in the terms read and written, up to the log.
 
         >>> f = LaurentPoly.parse('1 + -3*t^1 + 2*t^2')
         >>> f.exact_div(LaurentPoly.parse('-1 + 1*t^1'))
@@ -202,28 +212,35 @@ class LaurentPoly:
             raise ZeroDivisionError("division by the zero polynomial")
         if not self:
             return LaurentPoly()
-        g_min = min(other._terms)
-        g_low = other._terms[g_min]
-        max_q = max(self._terms) - max(other._terms)
+        (g_min, g_low), *g_rest = sorted(other._terms.items())
+        steps = [(e - g_min, gc) for e, gc in g_rest]
+        # The last remainder key that can start a quotient term.
+        last = max(self._terms) - (max(other._terms) - g_min)
         quot: dict[int, int] = {}
         rem = dict(self._terms)
-        while rem:
-            r_min = min(rem)
-            k = r_min - g_min
-            if k > max_q:
+        keys = sorted(rem)  # a heap; keys that left rem are skipped on pop
+        while keys:
+            r = heappop(keys)
+            v = rem.pop(r, 0)
+            if not v:
+                continue
+            c, residue = divmod(v, g_low)
+            if residue or r > last:
                 raise NotDivisible(f"{self} is not divisible by {other}")
-            c, residue = divmod(rem[r_min], g_low)
-            if residue:
-                raise NotDivisible(f"{self} is not divisible by {other}")
-            quot[k] = c
-            for e, gc in other._terms.items():
-                ne = e + k
-                v = rem.get(ne, 0) - c * gc
-                if v:
-                    rem[ne] = v
+            quot[r - g_min] = c
+            for d, gc in steps:
+                e = r + d
+                v = rem.get(e)
+                if v is None:
+                    rem[e] = -c * gc
+                    heappush(keys, e)
                 else:
-                    rem.pop(ne, None)
-        return LaurentPoly(quot)
+                    v -= c * gc
+                    if v:
+                        rem[e] = v
+                    else:
+                        del rem[e]
+        return _wrap(quot)
 
     def __truediv__(self, other: LaurentPoly) -> LaurentPoly:
         return self.exact_div(other)
@@ -236,7 +253,7 @@ class LaurentPoly:
 
     def invert_variable(self) -> LaurentPoly:
         """Substitute t -> t^-1 (negate every exponent)."""
-        return LaurentPoly({-k: c for k, c in self._terms.items()})
+        return _wrap({-k: c for k, c in self._terms.items()})
 
     def is_inversion_symmetric(self) -> bool:
         """True iff the polynomial is unchanged under t -> t^-1."""
@@ -260,6 +277,22 @@ class LaurentPoly:
 
     def __repr__(self) -> str:
         return f"LaurentPoly('{self}')"
+
+
+def _wrap(terms: dict[int, int], f: LaurentPoly | None = None) -> LaurentPoly:
+    """The polynomial whose terms are the nonzero entries of an int map.
+
+    The one place zero terms are dropped.  It takes the map over, so
+    callers pass one nobody else holds, and it checks no types: the
+    constructor checks outside input before calling it, and the arithmetic
+    passes maps it built from ints.  Fills f when given, else a new object.
+    """
+    if f is None:
+        f = object.__new__(LaurentPoly)
+    if 0 in terms.values():
+        terms = {k: c for k, c in terms.items() if c}
+    f._terms = terms
+    return f
 
 
 ZERO = LaurentPoly()

@@ -2,7 +2,9 @@
 
 The oracles here deliberately avoid the library's own code paths:
 determinants are expanded over permutations or cofactors, products are
-convolved on raw dicts, balanced equality is decided by cross-multiplying
+convolved on raw dicts, exact quotients come from a long division that
+rescans the remainder for its lowest term at every step, balanced
+equality is decided by cross-multiplying
 contents rather than by canonical forms, representative witnesses are
 found by trying every candidate triple, and parities are counted by
 inversions.
@@ -15,6 +17,7 @@ import random
 from alexpoly import (
     BalancedClass,
     LaurentPoly,
+    NotDivisible,
     RepresentativeWitness,
     SeifertPair,
     check_pass_move,
@@ -56,6 +59,39 @@ def dict_product_oracle(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
         for j, d in g.terms.items():
             out[k + j] = out.get(k + j, 0) + c * d
     return LaurentPoly(out)
+
+
+def exact_div_oracle(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
+    """Ascending-exponent long division that takes min() of the whole
+    remainder at every step; same quotient and NotDivisible message as
+    LaurentPoly.exact_div."""
+    if not g:
+        raise ZeroDivisionError("division by the zero polynomial")
+    if not f:
+        return LaurentPoly()
+    f_terms, g_terms = f.terms, g.terms
+    g_min = min(g_terms)
+    g_low = g_terms[g_min]
+    max_q = max(f_terms) - max(g_terms)
+    quot: dict[int, int] = {}
+    rem = dict(f_terms)
+    while rem:
+        r_min = min(rem)
+        k = r_min - g_min
+        if k > max_q:
+            raise NotDivisible(f"{f} is not divisible by {g}")
+        c, residue = divmod(rem[r_min], g_low)
+        if residue:
+            raise NotDivisible(f"{f} is not divisible by {g}")
+        quot[k] = c
+        for e, gc in g_terms.items():
+            ne = e + k
+            v = rem.get(ne, 0) - c * gc
+            if v:
+                rem[ne] = v
+            else:
+                rem.pop(ne, None)
+    return LaurentPoly(quot)
 
 
 def z_balanced_oracle(f: LaurentPoly, g: LaurentPoly) -> bool:

@@ -1,7 +1,14 @@
+import contextlib
+import copy
+import io
 import json
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from alexpoly import LaurentPoly, Ring, canonicalize, check_pass_move
 from alexpoly.cli import main
+from alexpoly.documents import MAX_HALF_EXPONENT, MAX_MATRIX_DIM
 
 PAIR_4 = {"kind": "seifert_pair", "p": 1, "n": 2, "S": [[4]], "N": [[4]]}
 V_ZERO = {"kind": "seifert_pair", "p": 1, "n": 1, "S": [[-1]], "N": [[-1]]}
@@ -270,3 +277,240 @@ def test_non_canonical_polynomial_argument_is_input_error(capsys):
     for text in ("1*t^0", "007", " 1 ", "\u0663", "1 + 1"):
         assert main(["canon", "--ring", "Z", "--", text]) == 2
         assert len(capsys.readouterr().err.splitlines()) == 1
+
+
+def _assert_one_line_input_error(capsys):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert "cap" in captured.err
+
+
+def test_alink_at_exponent_cap(tmp_path, capsys):
+    top = MAX_HALF_EXPONENT // 2
+    doc = {"kind": "laurent", "terms": {"0": -1, str(MAX_HALF_EXPONENT): 1}}
+    assert main(["alink", write(tmp_path, "f.json", doc)]) == 0
+    assert capsys.readouterr().out == f"pseudo-alinking: {top}\n"
+
+
+def test_alink_past_exponent_cap_is_input_error(tmp_path, capsys):
+    # t^200000 - 1 took 0.34 s before the cap, and larger exponents more.
+    for key in ("400000", str(MAX_HALF_EXPONENT + 1), str(-MAX_HALF_EXPONENT - 1)):
+        doc = {"kind": "laurent", "terms": {"0": -1, key: 1}}
+        assert main(["alink", write(tmp_path, "f.json", doc)]) == 2
+        _assert_one_line_input_error(capsys)
+
+
+def test_triple_past_exponent_cap_is_input_error(tmp_path, capsys):
+    doc = json.loads(json.dumps(INTRO_TRIPLE))
+    doc["zero"]["terms"][str(-MAX_HALF_EXPONENT - 2)] = 1
+    for command in ("skein", "find-reps"):
+        assert main([command, write(tmp_path, "t.json", doc)]) == 2
+        _assert_one_line_input_error(capsys)
+
+
+def test_polynomial_argument_exponent_cap(capsys):
+    top = MAX_HALF_EXPONENT // 2
+    assert main(["canon", "--ring", "Z", f"1*t^{-top}"]) == 0
+    assert capsys.readouterr().out == "canonical: 1\n"
+    for text in (f"1*t^{top + 1}", f"1 + 1*t^({MAX_HALF_EXPONENT + 1}/2)", "1*t^-200000"):
+        assert main(["canon", "--ring", "Q", "--", text]) == 2
+        _assert_one_line_input_error(capsys)
+        assert main(["balanced-eq", "--ring", "Z", "--", "1", text]) == 2
+        _assert_one_line_input_error(capsys)
+
+
+def test_alink_from_pair_at_dimension_cap(tmp_path, capsys):
+    size = MAX_MATRIX_DIM
+    form = [[0] * size] + [[int(i == j) for j in range(size)] for i in range(1, size)]
+    s = [row[:] for row in form]
+    s[0][0] = 5
+    n = [[sv - fv for sv, fv in zip(srow, frow)] for srow, frow in zip(s, form)]
+    doc = {"kind": "seifert_pair", "p": 1, "n": 2, "S": s, "N": n}
+    assert main(["alink", write(tmp_path, "p.json", doc)]) == 0
+    assert capsys.readouterr().out == "pseudo-alinking: 5\n"
+
+
+def test_pair_past_dimension_cap_is_input_error(tmp_path, capsys):
+    size = MAX_MATRIX_DIM + 1
+    zeros = [[0] * size for _ in range(size)]
+    doc = {"kind": "seifert_pair", "p": 1, "n": 2, "S": zeros, "N": zeros}
+    path = write(tmp_path, "p.json", doc)
+    for command in ("alex", "norm", "alink", "twinkle"):
+        assert main([command, path]) == 2
+        _assert_one_line_input_error(capsys)
+
+
+# Garbage documents: random JSON values, and valid documents of every kind
+# with one edit that the documented format forbids.  Every one must end in
+# exit 2 or 3 with one stderr line and nothing on stdout.
+LAURENT_DOC = {"kind": "laurent", "terms": {"-1": 2, "0": -3, "4": 1}}
+PAIR_2 = {
+    "kind": "seifert_pair", "p": 1, "n": 1, "S": [[1, -2], [0, 3]], "N": [[1, 0], [-2, 3]]
+}
+ARF_DOC = {"kind": "arf", "a": [1, 1], "b": [1, 0]}
+VALID_DOCS = (PAIR_4, V_ZERO, PAIR_2, LAURENT_DOC, INTRO_TRIPLE, TWIST_TRIPLE, ARF_DOC)
+COMMANDS = {
+    "seifert_pair": ("alex", "norm", "alink", "twinkle"),
+    "laurent": ("alink",),
+    "triple": ("skein", "find-reps"),
+    "arf": ("arf",),
+}
+FILE_COMMANDS = sorted({c for cs in COMMANDS.values() for c in cs})
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+def _is_canonical_key(key: str) -> bool:
+    try:
+        return key == str(int(key))
+    except ValueError:
+        return False
+
+
+REQUIRED = {
+    "seifert_pair": ("kind", "p", "n", "S", "N"),
+    "laurent": ("kind", "terms"),
+    "triple": ("kind", "move", "plus", "minus", "zero"),
+    "arf": ("kind", "a", "b"),
+}
+
+
+def _places(doc, path=()):
+    """(path, role) for every value of a valid document that the format
+    constrains; "required" marks the keys a document must have."""
+    kind = doc["kind"]
+    for key in REQUIRED[kind]:
+        yield path + (key,), "required"
+    yield path + ("kind",), "kind"
+    if kind == "laurent":
+        yield path + ("terms",), "dict"
+        for key in doc["terms"]:
+            yield path + ("terms", key), "int"
+            yield path + ("terms", key), "key"
+    elif kind == "seifert_pair":
+        for key in ("p", "n"):
+            yield path + (key,), "int"
+        for key in ("S", "N"):
+            yield path + (key,), "list"
+            for i, row in enumerate(doc[key]):
+                yield path + (key, i), "list"
+                for j in range(len(row)):
+                    yield path + (key, i, j), "int"
+    elif kind == "triple":
+        yield path + ("move",), "move"
+        for key in ("plus", "minus", "zero"):
+            yield path + (key,), "dict"
+            yield from _places(doc[key], path + (key,))
+    else:
+        for key in ("a", "b"):
+            yield path + (key,), "list"
+            for i in range(len(doc[key])):
+                yield path + (key, i), "int"
+
+
+def _shape_errors(doc) -> list:
+    """Valid types in an invalid arrangement."""
+    if doc["kind"] == "seifert_pair":
+        ragged = [doc["S"][0] + [0]] + doc["S"][1:]
+        return [{**doc, "p": doc["n"] + 2}, {**doc, "n": 0}, {**doc, "S": ragged}]
+    if doc["kind"] == "arf":
+        return [{**doc, "a": doc["a"] + [0]}, {**doc, "a": [], "b": []}]
+    if doc["kind"] == "triple":
+        return [{**doc, "move": "slide"}, {**doc, "move": "Pass"}]
+    return [{**doc, "terms": {**doc["terms"], "0": True}}]
+
+
+def _past_cap(doc, data):
+    doc = copy.deepcopy(doc)
+    if doc["kind"] == "seifert_pair":
+        size = MAX_MATRIX_DIM + 1
+        cols = data.draw(st.sampled_from((1, size)))
+        doc["S"] = doc["N"] = [[0] * cols for _ in range(size)]
+    else:
+        terms = doc["terms"] if doc["kind"] == "laurent" else doc["zero"]["terms"]
+        k = data.draw(st.integers(MAX_HALF_EXPONENT + 1, 10 * MAX_HALF_EXPONENT))
+        terms[str(data.draw(st.sampled_from((k, -k))))] = 1
+    return doc
+
+
+def _break(doc, data):
+    """A copy of a valid document with one edit that makes it invalid."""
+    edit = data.draw(st.sampled_from(["value", "value", "shape", "past cap", "wrap"]))
+    if edit == "wrap":
+        return [doc]
+    if edit == "shape":
+        return data.draw(st.sampled_from(_shape_errors(doc)))
+    if edit == "past cap" and doc["kind"] != "arf":  # arf lists have no cap
+        return _past_cap(doc, data)
+    doc = copy.deepcopy(doc)
+    path, role = data.draw(st.sampled_from(list(_places(doc))))
+    *parents, last = path
+    holder = doc
+    for step in parents:
+        holder = holder[step]
+    if role == "required":
+        del holder[last]
+    elif role == "key":
+        bad = data.draw(st.text(max_size=8).filter(lambda k: not _is_canonical_key(k)))
+        holder[bad] = holder.pop(last)
+    elif role == "kind":
+        kinds = st.sampled_from(sorted(COMMANDS)) | st.text(max_size=8)
+        holder[last] = data.draw(kinds.filter(lambda k: k != holder[last]))
+    elif role == "int":
+        holder[last] = data.draw(_JSON.filter(lambda v: type(v) is not int))
+    elif role == "dict":
+        holder[last] = data.draw(_JSON.filter(lambda v: not isinstance(v, dict)))
+    elif role == "list":
+        holder[last] = data.draw(_JSON.filter(lambda v: not isinstance(v, list)))
+    else:
+        holder[last] = data.draw(_JSON.filter(lambda m: m not in ("pass", "twist")))
+    return doc
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_rejected(code, out, err):
+    assert code in (2, 3), (code, out, err)
+    assert out == ""
+    assert len(err.splitlines()) == 1, err
+
+
+@settings(derandomize=True, database=None, max_examples=500, deadline=None)
+@given(st.data())
+def test_near_miss_documents_are_rejected(tmp_path_factory, data):
+    doc = data.draw(st.sampled_from(VALID_DOCS))
+    path = tmp_path_factory.mktemp("near") / "doc.json"
+    how = data.draw(st.sampled_from(["edit", "edit", "edit", "truncate", "wrong kind"]))
+    if how == "wrong kind":
+        text = json.dumps(doc)
+        command = data.draw(st.sampled_from(
+            [c for c in FILE_COMMANDS if c not in COMMANDS[doc["kind"]]]
+        ))
+    else:
+        command = data.draw(st.sampled_from(COMMANDS[doc["kind"]]))
+        if how == "truncate":
+            text = json.dumps(doc)
+            text = text[: data.draw(st.integers(0, len(text) - 1))]
+        else:
+            text = json.dumps(_break(doc, data))
+    path.write_text(text, encoding="utf-8")
+    _assert_rejected(*_run([command, str(path)]))
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(value=_JSON, command=st.sampled_from(FILE_COMMANDS))
+def test_random_json_values_are_rejected(tmp_path_factory, value, command):
+    path = tmp_path_factory.mktemp("json") / "doc.json"
+    path.write_text(json.dumps(value), encoding="utf-8")
+    _assert_rejected(*_run([command, str(path)]))

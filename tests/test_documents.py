@@ -4,6 +4,8 @@ import pytest
 
 from alexpoly import InvalidDocument, LaurentPoly, SeifertPair, T
 from alexpoly.documents import (
+    MAX_HALF_EXPONENT,
+    MAX_MATRIX_DIM,
     Triple,
     arf_from_doc,
     laurent_from_doc,
@@ -45,6 +47,38 @@ def test_laurent_bad_coefficient():
     for coeff in (1.5, "1", True, None):
         with pytest.raises(InvalidDocument):
             laurent_from_doc({"kind": "laurent", "terms": {"0": coeff}})
+
+
+def test_laurent_halfexp_cap():
+    for k in (MAX_HALF_EXPONENT, -MAX_HALF_EXPONENT):
+        doc = {"kind": "laurent", "terms": {str(k): 1}}
+        assert laurent_from_doc(doc) == LaurentPoly.half_power(k)
+    for k in (MAX_HALF_EXPONENT + 1, -MAX_HALF_EXPONENT - 1):
+        for coeff in (1, 0):
+            with pytest.raises(InvalidDocument, match="cap"):
+                laurent_from_doc({"kind": "laurent", "terms": {"0": 1, str(k): coeff}})
+
+
+def _square_pair_doc(rows: int, cols: int) -> dict:
+    zeros = [[0] * cols for _ in range(rows)]
+    return {"kind": "seifert_pair", "p": 1, "n": 2, "S": zeros, "N": zeros}
+
+
+def test_seifert_pair_dimension_cap():
+    assert seifert_pair_from_doc(_square_pair_doc(MAX_MATRIX_DIM, MAX_MATRIX_DIM)).shape == (
+        MAX_MATRIX_DIM,
+        MAX_MATRIX_DIM,
+    )
+    for rows, cols in ((MAX_MATRIX_DIM + 1, 1), (1, MAX_MATRIX_DIM + 1)):
+        with pytest.raises(InvalidDocument, match="cap"):
+            seifert_pair_from_doc(_square_pair_doc(rows, cols))
+
+
+@pytest.mark.parametrize("rows", ["", "abc", {}, {"0": [1]}, [1], ["1"], 4, None])
+def test_seifert_pair_matrix_must_be_list_of_rows(rows):
+    doc = {"kind": "seifert_pair", "p": 1, "n": 2, "S": rows, "N": rows}
+    with pytest.raises(InvalidDocument, match="list of rows"):
+        seifert_pair_from_doc(doc)
 
 
 def test_seifert_pair_roundtrip():

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import time
 
 import pytest
 
@@ -281,3 +282,20 @@ def test_arf_invariances_randomized():
         bumped_a = list(a)
         bumped_a[rng.randrange(nu)] += 2
         assert arf(ArfData(nu, bumped_a, b)) == base
+
+
+def test_orders_at_one_scale_linearly():
+    # A division that rescans the whole remainder at every step took about
+    # two minutes on these inputs; the linear division takes about 0.2 s.
+    rng = random.Random(SEED + 6)
+    size = 50_000
+    g = LaurentPoly({2 * i: rng.choice((-1, 1)) * rng.randint(1, 9) for i in range(size)})
+    h = LaurentPoly({i - size: rng.choice((-1, 1)) * rng.randint(1, 9) for i in range(size)})
+    f_alink, f_second = (T - 1) * g, HALF_DIFF * HALF_DIFF * h
+    start = time.perf_counter()
+    alink = pseudo_alinking_from_poly(f_alink)
+    second = second_order_at_one(f_second)
+    elapsed = time.perf_counter() - start
+    assert alink == abs(g.eval_at_one())
+    assert second == h.eval_at_one()
+    assert elapsed < 5.0, f"{elapsed:.2f} s for two {size}-term divisions"

@@ -5,7 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alexpoly import LaurentPoly, NotDivisible, ONE, T, T_HALF, ZERO
-from conftest import dict_product_oracle, random_nonzero_poly, random_poly
+from alexpoly.laurent import T_HALF_DIFF, T_MINUS_ONE
+from conftest import (
+    dict_product_oracle,
+    exact_div_oracle,
+    random_nonzero_poly,
+    random_poly,
+)
 
 SEED = 20260809
 CASES = 1000
@@ -213,6 +219,53 @@ def test_exact_div_inverts_mul_randomized():
         f = random_poly(rng)
         g = random_nonzero_poly(rng)
         assert (f * g).exact_div(g) == f
+
+
+def _quotient_or_error(divide, f: LaurentPoly, g: LaurentPoly):
+    try:
+        return divide(f, g)
+    except NotDivisible as exc:
+        return f"NotDivisible: {exc}"
+
+
+def _random_divisor(rng: random.Random, half: bool) -> LaurentPoly:
+    """T_MINUS_ONE, T_HALF_DIFF, or 1-4 terms with coefficients up to 4 in
+    size, so the lowest coefficient is often not a unit."""
+    if rng.randrange(4) == 0:
+        return rng.choice((T_MINUS_ONE, T_HALF_DIFF))
+    keys = rng.sample(range(-8, 9), rng.randint(1, 4))
+    step = 1 if half else 2
+    return LaurentPoly({step * k: rng.choice((-1, 1)) * rng.randint(1, 4) for k in keys})
+
+
+def test_exact_div_matches_long_division_oracle_randomized():
+    rng = random.Random(SEED + 6)
+    kinds = ("divisible", "not divisible", "zero", "sparse", "half", "non-unit low")
+    seen = dict.fromkeys(kinds, 0)
+    for i in range(1200):
+        half = rng.random() < 0.4
+        g = _random_divisor(rng, half)
+        sparse = i % 5 == 0  # a few terms spread over 800 half-exponents
+        width = 400 if sparse else 12
+        q = random_poly(rng, integral=not half, max_terms=3 if sparse else 8,
+                        halfexp_lo=-width, halfexp_hi=width)
+        f = q * g
+        pick = rng.randrange(6)
+        if pick == 0:  # perturb one coefficient, inside or just past the span
+            k = rng.choice(sorted(f.terms) + [rng.randint(-width - 20, width + 20)])
+            f = f + LaurentPoly({k: rng.choice((-1, 1))})
+        elif pick == 1:  # a content the quotient may not absorb
+            g = g * rng.randint(2, 3)
+        elif pick == 2:  # an unrelated dividend
+            f = random_poly(rng, integral=not half, halfexp_lo=-width, halfexp_hi=width)
+        got = _quotient_or_error(LaurentPoly.exact_div, f, g)
+        assert got == _quotient_or_error(exact_div_oracle, f, g), (f, g)
+        seen["divisible" if isinstance(got, LaurentPoly) else "not divisible"] += 1
+        seen["zero"] += not f
+        seen["sparse"] += sparse and len(f.terms) > 1
+        seen["half"] += not f.is_integral() or not g.is_integral()
+        seen["non-unit low"] += abs(g.terms[g.min_halfexp]) > 1
+    assert min(seen.values()) >= 50, seen
 
 
 def test_eval_at_one_is_multiplicative_randomized():
