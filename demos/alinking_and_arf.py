@@ -1,18 +1,21 @@
 """Integer invariants: the pseudo-alinking number and the Arf invariant.
 
-When the intersection form of a pair is a zero row over an identity
-block, the pseudo-alinking number can be read off as |S_11| - and the
-determinant route (divide det(t*S - N) by t - 1, evaluate at 1, take
-the absolute value) must agree.  We check that on a batch of random
-block-structured pairs.
+When the intersection form S - N has Smith form diag(1, ..., 1, 0), the
+pseudo-alinking number is |x^t S y| for the primitive left and right
+kernel vectors x, y of S - N, in any basis; when S - N is a zero row over
+an identity block, x = y = e_1 and it is |S_11|.  The determinant route
+(divide det(t*S - N) by t - 1, evaluate at 1, take the absolute value)
+must agree.  We check that on a batch of random block-structured pairs.
 """
 import random
 
 from alexpoly import (
     ArfData,
     SeifertPair,
+    UnimodularPair,
     alexander_matrix,
     arf,
+    basis_change,
     det,
     intersection_form,
     pseudo_alinking_from_pair,
@@ -27,6 +30,10 @@ poly = det(alexander_matrix(pair))
 print(f"det(t*S - N) = {poly}")
 print(f"pseudo-alinking via matrix:     {pseudo_alinking_from_pair(pair)}")
 print(f"pseudo-alinking via polynomial: {pseudo_alinking_from_poly(poly)}")
+
+moved = basis_change(pair, UnimodularPair([[1, 2], [0, 1]], [[1, 0], [-1, 1]]))
+print(f"\nin another basis: S = {moved.S}, form = {intersection_form(moved)}")
+print(f"pseudo-alinking via matrix:     {pseudo_alinking_from_pair(moved)}")
 
 rng = random.Random(7)
 agreements = 0

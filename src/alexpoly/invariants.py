@@ -4,8 +4,8 @@ The two polynomial invariants are the Z- and Q-balanced classes of
 det(t*S - N) and the normalized polynomial det(t^(1/2)*S - t^(-1/2)*N).
 The integer invariants are extracted from those polynomials by exact
 division and evaluation at t = 1 (pseudo-alinking, pseudo-twinkling and
-the first/second order values), or read off the matrices directly when
-the intersection form has the required block shape.  The Arf invariant
+the first/second order values), or read off the matrices at the kernel
+vectors of the intersection form S - N, in any basis.  The Arf invariant
 works on the diagonal Seifert pairings of a Z2-symplectic basis.
 """
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Mapping
 from .balance import BalancedClass, Ring, _require_integral
 from .errors import NotDivisible, PreconditionViolated, ShapeMismatch
 from .laurent import LaurentPoly, T_HALF_DIFF, T_MINUS_ONE, ZERO
-from .seifert import SeifertPair, int_det, intersection_form, pencil_det
+from .seifert import SeifertPair, _corank_one_kernel, intersection_form, pencil_det
 
 
 @dataclass(frozen=True)
@@ -119,48 +119,33 @@ def pseudo_alinking_from_poly(delta: LaurentPoly) -> int:
     return abs(delta.exact_div(T_MINUS_ONE).eval_at_one())
 
 
-def _first_row_zero_identity_below(form) -> bool:
-    if not form or not form[0]:
-        return False
-    if any(v != 0 for v in form[0]):
-        return False
-    for i, row in enumerate(form[1:], start=1):
-        if any(v != (1 if i == j else 0) for j, v in enumerate(row)):
-            return False
-    return True
+def _distinguished_cycles(pair: SeifertPair) -> tuple[list[int], list[int]]:
+    """Primitive left and right kernel vectors x, y of S - N.
+
+    The Smith form of S - N must be diag(1, ..., 1, 0), so adj(S - N) =
+    +-y*x^t.  A basis change (P, Q) sends x, y to P^-t x, Q^-t y, so x^t S y
+    is the same in every basis; in the block shapes x = y = e_1.
+    """
+    form = intersection_form(pair)
+    right, left = _corank_one_kernel(form), _corank_one_kernel(tuple(zip(*form)))
+    if right is None or right[2] != abs(left[0][right[1]]):
+        raise PreconditionViolated("Smith form of S - N is not diag(1, ..., 1, 0)")
+    return left[0], right[0]
 
 
 def pseudo_alinking_from_pair(pair: SeifertPair) -> int:
-    """|S_11| when the intersection form is zero-row-over-identity.
-
-    Requires S - N to have an all-zero first row and delta_ij entries in
-    every later row; this is the block shape in which the distinguished
-    cycle pair is visible directly.
-    """
-    form = intersection_form(pair)
-    if not _first_row_zero_identity_below(form):
-        raise PreconditionViolated(
-            "intersection form is not zero first row over an identity block"
-        )
-    return abs(pair.S[0][0])
+    """|x^t S y| for the distinguished cycles x, y; |S_11| in block shape."""
+    x, y = _distinguished_cycles(pair)
+    return abs(sum(a * s * b for a, row in zip(x, pair.S) for s, b in zip(row, y)))
 
 
 def pseudo_twinkling_from_pair(pair: SeifertPair) -> int:
-    """S_11 when the intersection form has a zero first row and column
-    and a unimodular remaining block."""
-    form = intersection_form(pair)
-    if not form or not form[0]:
-        raise PreconditionViolated("empty pair has no distinguished cycle")
-    if any(v != 0 for v in form[0]) or any(row[0] != 0 for row in form):
-        raise PreconditionViolated(
-            "intersection form must have zero first row and first column"
-        )
-    block = tuple(row[1:] for row in form[1:])
-    if block and len(block) != len(block[0]):
-        raise PreconditionViolated("remaining intersection block is not square")
-    if abs(int_det(block)) != 1:
-        raise PreconditionViolated("remaining intersection block is not unimodular")
-    return pair.S[0][0]
+    """x^t S x for the distinguished cycle x = +-y (as when N = S^t); S_11
+    in block shape."""
+    x, y = _distinguished_cycles(pair)
+    if x != y and x != [-v for v in y]:
+        raise PreconditionViolated("left and right kernels of S - N differ")
+    return sum(a * s * b for a, row in zip(x, pair.S) for s, b in zip(row, x))
 
 
 def first_order_at_one(f: LaurentPoly) -> int:

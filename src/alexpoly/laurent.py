@@ -37,7 +37,7 @@ class LaurentPoly:
     def __init__(self, terms: dict[int, int] | None = None):
         terms = dict(terms) if terms else {}
         for k, c in terms.items():
-            if not isinstance(k, int) or not isinstance(c, int):
+            if type(k) is not int or type(c) is not int:
                 raise TypeError("half-exponents and coefficients must be ints")
         _wrap(terms, self)
 
@@ -87,9 +87,6 @@ class LaurentPoly:
     def terms(self) -> dict[int, int]:
         """Copy of the underlying half-exponent map."""
         return dict(self._terms)
-
-    def is_zero(self) -> bool:
-        return not self._terms
 
     def __bool__(self) -> bool:
         return bool(self._terms)

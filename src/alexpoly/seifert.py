@@ -18,6 +18,7 @@ per matrix kind, and none of them uses rationals:
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -86,6 +87,39 @@ def _bareiss(a: list[list[int]]) -> int:
             ]
         prev = pivot
     return sign * a[n - 1][n - 1]
+
+
+def _corank_one_kernel(m: IntMatrix) -> tuple[list[int], int, int] | None:
+    """(y, row, g) for a square integer matrix of rank size - 1, else None.
+
+    Bareiss elimination with row swaps, passing over columns without a
+    pivot, reduces original row `row` to zero.  Back substitution from
+    y[free] = the last pivot, the minor without that row and the free
+    column, is exact by Cramer's rule and gives column `row` of adj(m) up
+    to sign: g*y with y primitive.  As adj(m) = c*y*x^t, x the primitive
+    left kernel vector, m has Smith form diag(1, ..., 1, 0) iff g == |x[row]|.
+    """
+    n = len(m)
+    if any(len(r) != n for r in m):
+        return None
+    a, order, pivots, prev = [list(r) for r in m], list(range(n)), [], 1
+    for col in range(n):
+        k = len(pivots)
+        p = next((i for i in range(k, n) if a[i][col]), None)
+        if p is not None:
+            a[k], a[p], order[k], order[p] = a[p], a[k], order[p], order[k]
+            pivot = a[k][col]
+            for row in a[k + 1 :]:
+                row[:] = [(pivot * x - row[col] * y) // prev for x, y in zip(row, a[k])]
+            pivots.append(col)
+            prev = pivot
+    if len(pivots) != n - 1:
+        return None
+    y = [0 if j in pivots else prev for j in range(n)]
+    for col, row in zip(reversed(pivots), reversed(a[: n - 1])):
+        y[col] = -sum(v * w for v, w in zip(row, y)) // row[col]
+    g = math.gcd(*y)
+    return [v // g for v in y], order[n - 1], g
 
 
 def int_det(m: IntMatrix) -> int:

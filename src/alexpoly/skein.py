@@ -99,9 +99,17 @@ def find_representatives(
     ascending total shift, ties broken by exponent magnitude, then
     positive exponent, then positive sign, separately for the plus,
     minus and zero slots in that order.  The first candidate in that
-    order that makes check_pass_move hold is returned; absence of a
-    witness inside the window is reported as found=False (it is not a
-    proof of nonexistence).
+    order that makes check_pass_move hold is returned.
+
+    The window is complete: found=False means that no unit multiples
+    satisfy the identity.  Canonical representatives start at t^0.  With a
+    zero class, a witness with all shifts 0 exists if any does.  Otherwise
+    divide a witness by t^nm, put d = np - nm and e = n0 - nm, and compare
+    lowest and highest exponents.  d > 0 forces e = 0 and d <= max(span rm,
+    span r0 + 1) - span rp; d < 0 is the mirror case, with e = d; d = 0
+    gives 0 <= e <= max(span rp, span rm) - span r0 - 1.  nm = median of
+    (-d, 0, -e) leaves one nonzero shift, at most W, so witnesses of least
+    total shift lie in the window, and the first of them is returned.
 
     The zero multiplier is derived rather than enumerated.  At t = 1 the
     right-hand side vanishes, so a sign pair (sp, sm) is viable only if

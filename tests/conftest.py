@@ -262,3 +262,26 @@ def twinkling_block_pair(rng: random.Random, half_blocks: int) -> SeifertPair:
     rows = [[s11] + first] + [[first[i]] + block[i] for i in range(m)]
     s = as_int_matrix(rows)
     return SeifertPair(s, transpose(s), 1, 1)
+
+
+def move_triple(pair: SeifertPair, i: int) -> tuple[SeifertPair, ...]:
+    """(plus, minus, zero) pairs of a local move at basis cycle i.
+
+    Plus raises S_ii and N_ii of pair by 1, minus is pair itself, and zero
+    drops row and column i.  det(t*S - N) is linear in row i, where plus
+    and minus differ by t - 1 at (i, i), so det(t*S+ - N+) - det(t*S- -
+    N-) = (t - 1) * det(t*S0 - N0).
+    """
+
+    def bump(m):
+        return tuple(
+            tuple(v + int(r == c == i) for c, v in enumerate(row))
+            for r, row in enumerate(m)
+        )
+
+    def drop(m):
+        return tuple(row[:i] + row[i + 1 :] for row in m[:i] + m[i + 1 :])
+
+    plus = SeifertPair(bump(pair.S), bump(pair.N), pair.p, pair.n)
+    zero = SeifertPair(drop(pair.S), drop(pair.N), pair.p, pair.n)
+    return plus, pair, zero

@@ -109,6 +109,28 @@ def test_twinkle_precondition_exit(tmp_path, capsys):
     assert main(["twinkle", write(tmp_path, "p.json", bad)]) == 3
 
 
+# The 2x2 alinking block pair with value 3 and the 3x3 twinkling block pair
+# with value 2 from test_invariants.py, moved off block shape: the first by
+# S -> P*S*Q^t, N -> P*N*Q^t with P = [[1, 2], [0, 1]], Q = [[1, 0], [-1, 1]],
+# the second by the congruence with P = Q = [[1, 1, 0], [0, 1, 0], [1, 0, 1]].
+ALINK_MOVED = {
+    "kind": "seifert_pair", "p": 1, "n": 2, "S": [[5, -3], [1, 0]], "N": [[5, -5], [1, -1]]
+}
+TWINKLE_MOVED = {
+    "kind": "seifert_pair", "p": 1, "n": 1,
+    "S": [[2, 0, 3], [0, 0, 1], [2, 0, 2]], "N": [[2, 0, 2], [0, 0, 0], [3, 1, 2]],
+}
+
+
+def test_alink_and_twinkle_in_any_basis(tmp_path, capsys):
+    assert main(["alink", write(tmp_path, "a.json", ALINK_MOVED)]) == 0
+    assert capsys.readouterr().out == "pseudo-alinking: 3\n"
+    assert main(["twinkle", write(tmp_path, "t.json", TWINKLE_MOVED)]) == 0
+    assert capsys.readouterr().out == "pseudo-twinkling: 2\n"
+    assert main(["twinkle", "--json", write(tmp_path, "t.json", TWINKLE_MOVED)]) == 0
+    assert json.loads(capsys.readouterr().out) == {"pseudo_twinkling": 2}
+
+
 def test_arf(tmp_path, capsys):
     doc = {"kind": "arf", "a": [1, 1], "b": [1, 0]}
     assert main(["arf", "--json", write(tmp_path, "a.json", doc)]) == 0

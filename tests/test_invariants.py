@@ -1,4 +1,6 @@
+import collections
 import dataclasses
+import math
 import random
 import time
 
@@ -20,9 +22,11 @@ from alexpoly import (
     ShapeMismatch,
     T,
     T_HALF,
+    UnimodularPair,
     ZERO,
     alexander_matrix,
     arf,
+    basis_change,
     det,
     first_order_at_one,
     intersection_form,
@@ -36,8 +40,15 @@ from alexpoly import (
     second_order_at_one,
     z_alexander,
 )
-from alexpoly.seifert import transpose
-from conftest import alinking_block_pair, random_poly, twinkling_block_pair
+from alexpoly.seifert import _corank_one_kernel, mat_mul, pencil_det, transpose
+from conftest import (
+    alinking_block_pair,
+    perm_det_int_oracle,
+    random_int_matrix,
+    random_poly,
+    random_unimodular,
+    twinkling_block_pair,
+)
 
 SEED = 20260812
 
@@ -299,3 +310,114 @@ def test_orders_at_one_scale_linearly():
     assert alink == abs(g.eval_at_one())
     assert second == h.eval_at_one()
     assert elapsed < 5.0, f"{elapsed:.2f} s for two {size}-term divisions"
+
+
+def test_alinking_pair_route_in_any_basis_randomized():
+    # (P, Q) moves the distinguished cycles off e_1; the value stays |S_11|.
+    rng = random.Random(SEED + 7)
+    moved_off_block = 0
+    for _ in range(400):
+        pair = alinking_block_pair(rng, rng.randint(1, 5))
+        size = len(pair.S)
+        p, q = random_unimodular(rng, size, 12), random_unimodular(rng, size, 12)
+        moved = basis_change(pair, UnimodularPair(p, q))
+        value = pseudo_alinking_from_pair(moved)
+        assert value == pseudo_alinking_from_pair(pair) == abs(pair.S[0][0])
+        assert value == pseudo_alinking_from_poly(pencil_det(moved))
+        moved_off_block += intersection_form(moved) != intersection_form(pair)
+    assert moved_off_block > 250
+
+
+def test_twinkling_pair_route_in_any_basis_randomized():
+    # A unimodular congruence (P, P) keeps N = S^t and the value S_11.
+    rng = random.Random(SEED + 8)
+    moved_off_block = 0
+    for _ in range(400):
+        pair = twinkling_block_pair(rng, rng.randint(0, 2))
+        p = random_unimodular(rng, len(pair.S), 12)
+        moved = basis_change(pair, UnimodularPair(p, p))
+        assert moved.N == transpose(moved.S)
+        value = pseudo_twinkling_from_pair(moved)
+        assert value == pseudo_twinkling_from_pair(pair) == pair.S[0][0]
+        normalized = normalized_alexander(NormalizedInput(moved, middle_condition=True))
+        assert value == first_order_at_one(normalized)
+        moved_off_block += any(intersection_form(moved)[0])
+    assert moved_off_block > 200
+
+
+def _minors_gcd_oracle(a):
+    """Gcd of all (m-1)-minors, each expanded over permutations."""
+    m = len(a)
+    minors = (
+        perm_det_int_oracle([row[:j] + row[j + 1 :] for row in a[:i] + a[i + 1 :]])
+        for i in range(m)
+        for j in range(m)
+    )
+    return math.gcd(*minors)
+
+
+def _random_form(rng, m, kind):
+    if kind == 0:  # P * diag(d_1, ..., d_(m-1), 0) * Q, some d_i not a unit
+        d = [rng.choice((1, 1, 1, -1, 2, 3)) for _ in range(m - 1)] + [0]
+        diag = [[d[i] if i == j else 0 for j in range(m)] for i in range(m)]
+        p, q = random_unimodular(rng, m), random_unimodular(rng, m)
+        return mat_mul(mat_mul(p, diag), q)
+    if kind == 1:  # one row an integer combination of the others
+        rows = random_int_matrix(rng, m - 1, m, -2, 2)
+        coeffs = [rng.randint(-2, 2) for _ in rows]
+        combo = tuple(sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(m))
+        at = rng.randrange(m)
+        return rows[:at] + (combo,) + rows[at:]
+    return random_int_matrix(rng, m, m, -1, 1)  # mostly full rank, some lower
+
+
+def test_smith_test_matches_brute_force_minors_randomized():
+    # The pair routes accept S - N exactly when det = 0 and the (m-1)-minors
+    # have gcd 1; accepted alinking values equal the polynomial route.
+    rng = random.Random(SEED + 9)
+    outcomes = collections.Counter()
+    for i in range(600):
+        m, kind = rng.randint(1, 6), i % 3
+        form = _random_form(rng, m, kind)
+        n = random_int_matrix(rng, m, m)
+        pair = SeifertPair(
+            [[f + v for f, v in zip(frow, nrow)] for frow, nrow in zip(form, n)], n, 1, 2
+        )
+        det, minors = perm_det_int_oracle(form), _minors_gcd_oracle(form)
+        kernel = _corank_one_kernel(form)
+        assert (kernel is None) == (det != 0 or minors == 0)
+        if kernel is not None:
+            y = kernel[0]
+            assert all(sum(v * w for v, w in zip(row, y)) == 0 for row in form)
+            assert math.gcd(*y) == 1
+        smith = det == 0 and minors == 1
+        if smith:
+            value = pseudo_alinking_from_pair(pair)
+            assert value == pseudo_alinking_from_poly(pencil_det(pair))
+        else:
+            for route in (pseudo_alinking_from_pair, pseudo_twinkling_from_pair):
+                with pytest.raises(PreconditionViolated, match="Smith form"):
+                    route(pair)
+        outcomes[kind, smith, kernel is None] += 1
+    # Smith forms, corank-one non-Smith forms and other ranks all occur.
+    assert outcomes[0, True, False] > 50 and outcomes[0, False, False] > 50
+    assert outcomes[1, True, False] > 50 and outcomes[2, False, True] > 50
+
+
+def test_twinkling_rejects_differing_kernels():
+    # Smith form diag(1, 0), but the left kernel is e_2 and the right e_1.
+    pair = SeifertPair([[5, 1], [0, 0]], [[5, 0], [0, 0]], 1, 1)
+    assert pseudo_alinking_from_pair(pair) == 0
+    with pytest.raises(PreconditionViolated, match="kernels of S - N differ"):
+        pseudo_twinkling_from_pair(pair)
+
+
+def test_pair_routes_reject_non_square_forms():
+    # A 1x2 pair with S - N = 0: every vector is in the right kernel, so no
+    # distinguished cycle exists, and S_11 changes with the basis.
+    pair = SeifertPair([[2, 1]], [[2, 1]], 1, 2)
+    moved = basis_change(pair, UnimodularPair([[1]], [[1, 1], [0, 1]]))
+    assert moved.S[0][0] != pair.S[0][0]
+    for route in (pseudo_alinking_from_pair, pseudo_twinkling_from_pair):
+        with pytest.raises(PreconditionViolated, match="Smith form"):
+            route(pair)

@@ -163,6 +163,17 @@ class TestGrammar:
             LaurentPoly.parse(text)
 
 
+class TestConstructor:
+    # bool is a subclass of int, but True renders as "True", which parse rejects.
+    def test_rejects_bool_coefficient(self):
+        with pytest.raises(TypeError):
+            LaurentPoly({0: True})
+
+    def test_rejects_bool_half_exponent(self):
+        with pytest.raises(TypeError):
+            LaurentPoly({True: 1})
+
+
 class TestQueries:
     def test_zero_has_no_degree_span(self):
         assert ZERO.min_halfexp is None

@@ -7,19 +7,29 @@ from alexpoly import (
     BalancedClass,
     LaurentPoly,
     NonIntegerExponent,
+    NormalizedInput,
     ONE,
     PreconditionViolated,
     Ring,
+    SeifertPair,
     T,
     T_HALF,
     ZERO,
     check_pass_move,
     check_twist_move,
     find_representatives,
+    normalized_alexander,
     search_window,
 )
+from alexpoly import skein
+from alexpoly.seifert import pencil_det
 from alexpoly.skein import MAX_SEARCH_WINDOW
-from conftest import find_representatives_oracle, random_poly
+from conftest import (
+    find_representatives_oracle,
+    move_triple,
+    random_int_matrix,
+    random_poly,
+)
 
 SEED = 20260813
 
@@ -181,6 +191,92 @@ def test_search_matches_brute_force_oracle_randomized():
     # Each kind keeps producing the outcome it is there to exercise.
     assert all(outcomes[kind, False] > 50 for kind in (2, 4))
     assert all(outcomes[kind, True] > 50 for kind in (0, 1, 3))
+
+
+def _cancelling_case(rng, perturb):
+    """dp = t^k*(dm + (t - 1)*h) and d0 = dm*(1 + t + ... + t^(k-1)) + t^k*h.
+
+    Then dp - dm = (t - 1)*d0, and the witness needs a relative shift of k,
+    often equal to W.  Plus and minus are swapped half the time (d < 0), and
+    a perturbed triple has one slot bumped by a monomial.
+    """
+    k = rng.randint(1, 5)
+    dm, h = _small(rng, lo=0), _small(rng, 1, lo=0)
+    d0 = dm * sum((T**j for j in range(k)), ZERO) + T**k * h
+    triple = [dm + (T - 1) * d0, dm, d0]
+    if rng.random() < 0.5:
+        triple = [dm, triple[0], -d0]
+    if perturb:
+        slot = rng.randrange(3)
+        bump = LaurentPoly({2 * rng.randint(0, 1): rng.choice((1, -1))})
+        triple[slot] = triple[slot] + bump
+    return triple
+
+
+def test_window_is_complete_randomized(monkeypatch):
+    # The docstring of find_representatives proves that a witness of least
+    # total shift lies within W.  Widening the window the search reads to 3W
+    # must then find no new witness, and the same first one.
+    rng = random.Random(SEED + 4)
+    widened = []
+
+    def wide_window(*classes):
+        widened.append(classes)
+        return 3 * search_window(*classes)
+
+    outcomes = collections.Counter()
+    for i in range(1400):
+        kind, slot = i % 7, (i // 7) % 3
+        while True:
+            if kind < 5:
+                case = _search_case(rng, kind, slot)
+            else:
+                case = _cancelling_case(rng, perturb=kind == 6)
+            polys = [f.shift(2 * rng.randint(-3, 3)) * rng.choice((1, -1)) for f in case]
+            classes = _z_classes(*polys)
+            w = search_window(*classes)
+            if w <= 8:
+                break
+        narrow = find_representatives(*classes)
+        with monkeypatch.context() as patch:
+            patch.setattr(skein, "search_window", wide_window)
+            wide = find_representatives(*classes)
+        assert len(widened) == i + 1
+        assert wide == narrow
+        largest = max((abs(n) for _, n in narrow.shifts), default=0)
+        outcomes["found" if narrow.found else "none"] += 1
+        outcomes["shifted"] += largest > 0
+        outcomes["shift W"] += largest == w
+    # Both verdicts occur, and the bound is reached: W cannot be narrowed.
+    assert outcomes["none"] > 300 and outcomes["shifted"] > 150
+    assert outcomes["shift W"] > 50
+
+
+def test_matrix_move_triples_end_to_end_randomized():
+    # Seifert pairs go through pencil_det and normalized_alexander into both
+    # move identities, and find_representatives recovers a pass-move witness
+    # from the three Z classes alone.
+    rng = random.Random(SEED + 5)
+    shifted = 0
+    for _ in range(300):
+        size = rng.randint(1, 12)
+        s, n = random_int_matrix(rng, size, size), random_int_matrix(rng, size, size)
+        pair = SeifertPair(s, n, 3, 5)
+        triple = move_triple(pair, rng.randrange(size))
+        dp, dm, d0 = (pencil_det(p) for p in triple)
+        assert check_pass_move(dp, dm, d0).holds
+        halves = [normalized_alexander(NormalizedInput(p, True)) for p in triple]
+        assert check_twist_move(*halves).holds
+        classes = _z_classes(dp, dm, d0)
+        witness = find_representatives(*classes)
+        assert witness.found
+        reps = [
+            c.representative.shift(2 * n) * sign
+            for c, (sign, n) in zip(classes, witness.shifts)
+        ]
+        assert check_pass_move(*reps).holds
+        shifted += any(n for _, n in witness.shifts)
+    assert shifted > 10
 
 
 class TestSearchWindowCap:
