@@ -3,8 +3,8 @@
 Every command reads the JSON document format (see documents.py) or a
 polynomial in the canonical text grammar, and prints either plain text
 or, with --json, machine-readable JSON.  Exit codes: 0 success / the
-identity holds, 1 the identity fails (or no witness was found), 2 bad
-input, 3 an operation precondition was violated.
+identity holds, 1 the identity fails (or no unit multiples satisfy it),
+2 bad input, 3 an operation precondition was violated.
 """
 from __future__ import annotations
 
@@ -187,7 +187,10 @@ def _cmd_find_reps(args) -> int:
         for label, (sign, n) in zip(("plus", "minus", "zero"), witness.shifts):
             lines.append(f"{label}: multiply by {'+' if sign > 0 else '-'}t^{n}")
     else:
-        lines = [f"found: false (no witness within window {window})"]
+        lines = [
+            f"found: false (no unit multiples satisfy the pass-move identity;"
+            f" the window {window} is complete)"
+        ]
     _emit(args, payload, lines)
     return EXIT_OK if witness.found else EXIT_FAILED
 

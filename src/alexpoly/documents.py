@@ -34,8 +34,9 @@ from .seifert import SeifertPair
 # dividend's lowest and highest: alink on t^50000 - 1 writes 50,000 terms
 # (0.2 s for the whole process at the cap on a 2-vCPU Xeon VM).
 MAX_HALF_EXPONENT = 100_000
-# pencil_det does n + 1 integer Bareiss eliminations of an n x n matrix:
-# about 3.5 s at n = 64 with entries in [-3, 3] on a 2-vCPU Xeon VM.
+# pencil_det does two integer Bareiss eliminations of an n x n matrix with
+# entries of O(n) bits: about 7 s at n = 64 with entries in [-3, 3] on
+# a 2-vCPU Xeon VM.
 MAX_MATRIX_DIM = 64
 
 

@@ -3,11 +3,12 @@
 The oracles here deliberately avoid the library's own code paths:
 determinants are expanded over permutations or cofactors, products are
 convolved on raw dicts, exact quotients come from a long division that
-rescans the remainder for its lowest term at every step, balanced
-equality is decided by cross-multiplying
-contents rather than by canonical forms, representative witnesses are
-found by trying every candidate triple, and parities are counted by
-inversions.
+rescans the remainder for its lowest term at every step, Seifert pencil
+determinants are interpolated from m + 1 integer values instead of being
+unpacked from two large ones, balanced equality is decided by
+cross-multiplying contents rather than by canonical forms,
+representative witnesses are found by trying every candidate triple, and
+parities are counted by inversions.
 """
 from __future__ import annotations
 
@@ -18,12 +19,13 @@ from alexpoly import (
     BalancedClass,
     LaurentPoly,
     NotDivisible,
+    NotSquare,
     RepresentativeWitness,
     SeifertPair,
     check_pass_move,
     search_window,
 )
-from alexpoly.seifert import IntMatrix, as_int_matrix, transpose
+from alexpoly.seifert import IntMatrix, _bareiss, as_int_matrix, transpose
 
 
 def random_poly(
@@ -173,6 +175,38 @@ def cofactor_det_oracle(rows) -> LaurentPoly:
         term = head * cofactor_det_oracle(minor)
         total = total + term if j % 2 == 0 else total - term
     return total
+
+
+def pencil_det_interp_oracle(pair: SeifertPair) -> LaurentPoly:
+    """det(t*S - N) of a square pair, by evaluation and interpolation.
+
+    The determinant f is an integer polynomial of degree at most n in t,
+    n the matrix size (not pair.n), so its values at t = 0..n fix it.
+    Each value is an integer Bareiss determinant.  Step k of the forward
+    differences is divided by k, which is exact: it leaves Delta^k f(i)/k!,
+    and those Newton coefficients of an integer polynomial at consecutive
+    integer nodes are integers.  The Newton form is then expanded to
+    monomials by Horner's rule.
+    """
+    rows, cols = pair.shape
+    if rows != cols:
+        raise NotSquare(f"{rows}x{cols} matrix has no determinant")
+    n = rows
+    pencil = tuple(zip(pair.S, pair.N))
+    coeffs = [
+        _bareiss([[x * s - v for s, v in zip(srow, nrow)] for srow, nrow in pencil])
+        for x in range(n + 1)
+    ]
+    for k in range(1, n + 1):
+        for i in range(n, k - 1, -1):
+            coeffs[i] = (coeffs[i] - coeffs[i - 1]) // k
+    # f = c0 + x*(c1 + (x-1)*(c2 + ... + (x-n+1)*cn)), innermost first.
+    poly = [coeffs[n]]
+    for k in range(n - 1, -1, -1):
+        poly = [coeffs[k] - k * poly[0]] + [
+            a - k * b for a, b in zip(poly, poly[1:])
+        ] + [poly[-1]]
+    return LaurentPoly({2 * e: c for e, c in enumerate(poly)})
 
 
 def perm_det_int_oracle(m: IntMatrix) -> int:

@@ -2,13 +2,15 @@ import contextlib
 import copy
 import io
 import json
+import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alexpoly import LaurentPoly, Ring, canonicalize, check_pass_move
+from alexpoly import LaurentPoly, Ring, SeifertPair, canonicalize, check_pass_move
 from alexpoly.cli import main
 from alexpoly.documents import MAX_HALF_EXPONENT, MAX_MATRIX_DIM
+from conftest import move_triple, random_int_matrix
 
 PAIR_4 = {"kind": "seifert_pair", "p": 1, "n": 2, "S": [[4]], "N": [[4]]}
 V_ZERO = {"kind": "seifert_pair", "p": 1, "n": 1, "S": [[-1]], "N": [[-1]]}
@@ -186,7 +188,32 @@ def test_find_reps_not_found(tmp_path, capsys):
         "zero": {"kind": "laurent", "terms": {"0": 1}},
     }
     assert main(["find-reps", write(tmp_path, "t.json", doc)]) == 1
-    assert "found: false" in capsys.readouterr().out
+    assert capsys.readouterr().out == (
+        "found: false (no unit multiples satisfy the pass-move identity;"
+        " the window 3 is complete)\n"
+    )
+
+
+def test_move_triple_round_trip(tmp_path, capsys):
+    # The seifert_pair documents of a local move go through `alex --json`;
+    # their polynomials form a pass triple that `skein` accepts and in which
+    # `find-reps` finds a witness.  The 1x1 move's zero pair is 0x0.
+    rng = random.Random(20261018)
+    for size in (1, 5, 12, 24):
+        pair = SeifertPair(
+            random_int_matrix(rng, size, size), random_int_matrix(rng, size, size), 3, 5
+        )
+        doc = {"kind": "triple", "move": "pass"}
+        for label, member in zip(
+            ("plus", "minus", "zero"), move_triple(pair, rng.randrange(size))
+        ):
+            member_doc = {"kind": "seifert_pair", "p": 3, "n": 5, "S": member.S, "N": member.N}
+            assert main(["alex", "--json", write(tmp_path, f"{label}.json", member_doc)]) == 0
+            doc[label] = json.loads(capsys.readouterr().out)["polynomial"]
+        path = write(tmp_path, "triple.json", doc)
+        assert main(["skein", path]) == 0
+        assert main(["find-reps", path]) == 0
+        assert "found: true" in capsys.readouterr().out
 
 
 def _pass_doc(*term_maps):

@@ -36,6 +36,7 @@ from alexpoly.seifert import (
 )
 from conftest import (
     cofactor_det_oracle,
+    pencil_det_interp_oracle,
     perm_det_int_oracle,
     perm_det_oracle,
     random_int_matrix,
@@ -435,3 +436,68 @@ def test_normalized_alexander_is_shifted_pencil_det():
         pair = SeifertPair(s, nm, 2 * k + 1, 4 * k + 1)
         data = NormalizedInput(pair, middle_condition=True)
         assert normalized_alexander(data) == det(normalized_matrix(pair))
+
+
+def _pencil_kinds(rng: random.Random, n: int):
+    """One pair of each kind at size n: +-3 entries, knot-like, singular,
+    rank-deficient S, entries up to 10^6 in size, and a zero row."""
+    s = random_int_matrix(rng, n, n)
+    yield SeifertPair(s, random_int_matrix(rng, n, n), 1, 2)
+    yield SeifertPair(s, transpose(s), 1, 1)
+    big = 10**6
+    yield SeifertPair(
+        random_int_matrix(rng, n, n, -big, big), random_int_matrix(rng, n, n, -big, big), 1, 2
+    )
+    if not n:
+        return
+    weights = [rng.randint(-2, 2) for _ in range(n - 1)]
+    singular = [[list(row) for row in random_int_matrix(rng, n, n)] for _ in range(2)]
+    for m in singular:
+        for row in m:
+            row[-1] = sum(w * v for w, v in zip(weights, row))
+    yield SeifertPair(*singular, 1, 2)
+    rank = rng.randint(0, n - 1)
+    low = mat_mul(random_int_matrix(rng, n, rank), random_int_matrix(rng, rank, n))
+    if rank == 0:
+        low = ((0,) * n,) * n
+    yield SeifertPair(low, random_int_matrix(rng, n, n), 1, 2)
+    i = rng.randrange(n)
+    zero_row = [
+        [list(row) for row in random_int_matrix(rng, n, n, -big, big)] for _ in range(2)
+    ]
+    for m in zero_row:
+        m[i] = [0] * n
+    yield SeifertPair(*zero_row, 1, 2)
+
+
+def test_pencil_det_matches_interpolation_oracle_randomized():
+    rng = random.Random(SEED + 13)
+    for n in range(25):
+        for _ in range(2):
+            for pair in _pencil_kinds(rng, n):
+                assert pencil_det(pair) == pencil_det_interp_oracle(pair)
+
+
+def _sylvester(size: int):
+    h = ((1,),)
+    while len(h) < size:
+        h = tuple(row + row for row in h) + tuple(
+            row + tuple(-v for v in row) for row in h
+        )
+    return h
+
+
+def test_pencil_det_at_hadamard_bound():
+    # A Sylvester-Hadamard S of size m has |det S| = m^(m/2), Hadamard's bound
+    # itself.  With N = 0 the top coefficient of det(t*S - N) equals the
+    # coefficient bound sqrt(h2) = m^(m/2), the largest digit the width must
+    # hold.
+    for size in (1, 2, 4, 8, 16, 32):
+        h = _sylvester(size)
+        assert int_det(h) ** 2 == size**size
+        zero = ((0,) * size,) * size
+        negated = tuple(tuple(-v for v in row) for row in h)
+        for nm in (zero, h, negated, transpose(h)):
+            pair = SeifertPair(h, nm, 1, 2)
+            assert pencil_det(pair) == pencil_det_interp_oracle(pair)
+        assert pencil_det(SeifertPair(h, zero, 1, 2)) == int_det(h) * T**size

@@ -1,4 +1,5 @@
 import collections
+import itertools
 import random
 
 import pytest
@@ -15,6 +16,7 @@ from alexpoly import (
     T,
     T_HALF,
     ZERO,
+    alexander_matrix,
     check_pass_move,
     check_twist_move,
     find_representatives,
@@ -27,6 +29,7 @@ from alexpoly.skein import MAX_SEARCH_WINDOW
 from conftest import (
     find_representatives_oracle,
     move_triple,
+    perm_det_oracle,
     random_int_matrix,
     random_poly,
 )
@@ -255,11 +258,12 @@ def test_window_is_complete_randomized(monkeypatch):
 def test_matrix_move_triples_end_to_end_randomized():
     # Seifert pairs go through pencil_det and normalized_alexander into both
     # move identities, and find_representatives recovers a pass-move witness
-    # from the three Z classes alone.
+    # from the three Z classes alone.  Small pairs often need a shifted
+    # witness; five pairs of each size 13..24 reach the larger matrices.
     rng = random.Random(SEED + 5)
     shifted = 0
-    for _ in range(300):
-        size = rng.randint(1, 12)
+    small = (rng.randint(1, 12) for _ in range(300))
+    for size in itertools.chain(small, [*range(13, 25)] * 5):
         s, n = random_int_matrix(rng, size, size), random_int_matrix(rng, size, size)
         pair = SeifertPair(s, n, 3, 5)
         triple = move_triple(pair, rng.randrange(size))
@@ -277,6 +281,32 @@ def test_matrix_move_triples_end_to_end_randomized():
         assert check_pass_move(*reps).holds
         shifted += any(n for _, n in witness.shifts)
     assert shifted > 10
+
+
+def test_off_diagonal_bump_breaks_the_move_randomized():
+    # Raising S_rc and N_rc of plus by 1 at r != c adds a term to its
+    # determinant that the move does not account for, unless that term
+    # vanishes.  The identity through pencil_det holds exactly when it holds
+    # for the permutation expansions.
+    rng = random.Random(SEED + 6)
+    broken = 0
+    for _ in range(200):
+        size = rng.randint(2, 5)
+        s, n = random_int_matrix(rng, size, size), random_int_matrix(rng, size, size)
+        plus, minus, zero = move_triple(SeifertPair(s, n, 3, 5), rng.randrange(size))
+        r, c = rng.sample(range(size), 2)
+        s, n = ([list(row) for row in m] for m in (plus.S, plus.N))
+        s[r][c] += 1
+        n[r][c] += 1
+        bumped = SeifertPair(s, n, 3, 5)
+        dp, dm, d0 = (
+            perm_det_oracle(alexander_matrix(p).entries) for p in (bumped, minus, zero)
+        )
+        expected = dp - dm == (T - 1) * d0
+        got = [pencil_det(p) for p in (bumped, minus, zero)]
+        assert check_pass_move(*got).holds == expected
+        broken += not expected
+    assert broken > 150
 
 
 class TestSearchWindowCap:
