@@ -119,12 +119,15 @@ class LaurentPoly:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
-            other = LaurentPoly.constant(other)
+            return self._terms == ({0: other} if other else {})
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         return self._terms == other._terms
 
     def __hash__(self) -> int:
+        # A constant equals its int (see __eq__), so it hashes as that int.
+        if self._terms.keys() <= {0}:
+            return hash(self._terms.get(0, 0))
         return hash(frozenset(self._terms.items()))
 
     def __add__(self, other: int | LaurentPoly) -> LaurentPoly:
@@ -239,8 +242,19 @@ class LaurentPoly:
                         del rem[e]
         return _wrap(quot)
 
-    def __truediv__(self, other: LaurentPoly) -> LaurentPoly:
+    def __floordiv__(self, other: int | LaurentPoly) -> LaurentPoly:
+        """Exact quotient, as ``exact_div``; an int divisor is a constant.
+
+        >>> LaurentPoly.parse('2 + -4*t^(1/2)') // 2
+        LaurentPoly('1 + -2*t^(1/2)')
+        """
+        if isinstance(other, int):
+            other = LaurentPoly.constant(other)
+        if not isinstance(other, LaurentPoly):
+            return NotImplemented
         return self.exact_div(other)
+
+    __truediv__ = __floordiv__
 
     # -- evaluation and symmetry -------------------------------------------
 

@@ -6,17 +6,20 @@ plus the cycle degree p and the submanifold dimension n.  From a pair the
 Alexander matrix t*S - N and the normalized matrix t^(1/2)*S - t^(-1/2)*N
 are built, whose exact determinants carry the invariants.
 
-Matrices are immutable tuples of tuples.  There is one determinant route
-per matrix kind, and none of them uses rationals:
+Matrices are immutable tuples of tuples.  One fraction-free Bareiss
+elimination (``_bareiss``) serves every determinant and kernel, and none
+of them uses rationals: its entries are ints or Laurent polynomials, and
+each of its divisions is exact in either ring.
 
-- integer matrices: fraction-free Bareiss elimination (``int_det``);
-- Seifert pencils t*S - N of size m: ``pencil_det`` takes that same
-  Bareiss determinant of the integer matrix x*S - N at x = 2^b and
-  x = -2^b, with b from a Hadamard bound on the coefficients, and unpacks
-  the coefficients from the two values' binary digits (the normalized
-  determinant is that polynomial shifted);
-- general Laurent matrices: fraction-free Bareiss over the Laurent ring
-  (``det``), whose every division is exact there.
+- ``int_det`` runs it on an integer matrix, ``det`` on a matrix of
+  Laurent polynomials;
+- ``pencil_det`` takes det(t*S - N) of size m from two integer
+  determinants of x*S - N, at x = 2^b and x = -2^b with b from a Hadamard
+  bound on the coefficients, and unpacks the coefficients from the two
+  values' binary digits (the normalized determinant is that polynomial
+  shifted);
+- ``_corank_one_kernel`` reads the kernel of an integer matrix such as
+  S - N off it by back substitution.
 """
 from __future__ import annotations
 
@@ -62,33 +65,41 @@ def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     )
 
 
-def _bareiss(a: list[list[int]]) -> int:
-    """Fraction-free Bareiss elimination of fresh square list rows, in place."""
+def _bareiss(a: list[list]) -> tuple[list[int], list[int], int]:
+    """Fraction-free Bareiss elimination of fresh square list rows, in place.
+
+    The entries are ints or LaurentPolys: each division by the previous
+    pivot is exact (``//``) in either ring.  Column by column, the entry in
+    row k (k the number of pivots so far) becomes the pivot, after a swap
+    with the first row below holding a nonzero entry there if it is zero;
+    a column with no nonzero entry from row k down is passed over.  Rows
+    below the pivot are updated right of the pivot column only; what they
+    hold in it and to its left is stale, and no caller reads it.
+
+    Returns the pivot columns, the original index of each row and the sign
+    of that row permutation.  With n pivots the determinant is the sign
+    times a[n-1][n-1]; with fewer it is zero.
+    """
     n = len(a)
-    if n == 0:
-        return 1
-    sign, prev = 1, 1
-    for k in range(n - 1):
+    pivots, order, sign, prev = [], list(range(n)), 1, 1
+    for col in range(n):
+        k = len(pivots)
+        if not a[k][col]:
+            p = next((i for i in range(k + 1, n) if a[i][col]), None)
+            if p is None:
+                continue
+            a[k], a[p], order[k], order[p] = a[p], a[k], order[p], order[k]
+            sign = -sign
         pivot_row = a[k]
-        if pivot_row[k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    pivot_row = a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = pivot_row[k]
-        tail = pivot_row[k + 1 :]
-        for i in range(k + 1, n):
-            row = a[i]
-            aik = row[k]
-            row[k + 1 :] = [
-                (pivot * x - aik * y) // prev for x, y in zip(row[k + 1 :], tail)
+        pivot, tail = pivot_row[col], pivot_row[col + 1 :]
+        for row in a[k + 1 :]:
+            aic = row[col]
+            row[col + 1 :] = [
+                (pivot * x - aic * y) // prev for x, y in zip(row[col + 1 :], tail)
             ]
+        pivots.append(col)
         prev = pivot
-    return sign * a[n - 1][n - 1]
+    return pivots, order, sign
 
 
 def _corank_one_kernel(m: IntMatrix) -> tuple[list[int], int, int] | None:
@@ -104,22 +115,14 @@ def _corank_one_kernel(m: IntMatrix) -> tuple[list[int], int, int] | None:
     n = len(m)
     if any(len(r) != n for r in m):
         return None
-    a, order, pivots, prev = [list(r) for r in m], list(range(n)), [], 1
-    for col in range(n):
-        k = len(pivots)
-        p = next((i for i in range(k, n) if a[i][col]), None)
-        if p is not None:
-            a[k], a[p], order[k], order[p] = a[p], a[k], order[p], order[k]
-            pivot = a[k][col]
-            for row in a[k + 1 :]:
-                row[:] = [(pivot * x - row[col] * y) // prev for x, y in zip(row, a[k])]
-            pivots.append(col)
-            prev = pivot
+    a = [list(r) for r in m]
+    pivots, order, _ = _bareiss(a)
     if len(pivots) != n - 1:
         return None
-    y = [0 if j in pivots else prev for j in range(n)]
+    last = a[n - 2][pivots[-1]] if pivots else 1
+    y = [0 if j in pivots else last for j in range(n)]
     for col, row in zip(reversed(pivots), reversed(a[: n - 1])):
-        y[col] = -sum(v * w for v, w in zip(row, y)) // row[col]
+        y[col] = -sum(v * w for v, w in zip(row[col + 1 :], y[col + 1 :])) // row[col]
     g = math.gcd(*y)
     return [v // g for v in y], order[n - 1], g
 
@@ -129,7 +132,11 @@ def int_det(m: IntMatrix) -> int:
     n = len(m)
     if any(len(r) != n for r in m):
         raise NotSquare(f"{n}x{len(m[0])} matrix has no determinant")
-    return _bareiss([list(row) for row in m])
+    if n == 0:
+        return 1
+    a = [list(row) for row in m]
+    pivots, _, sign = _bareiss(a)
+    return sign * a[-1][-1] if len(pivots) == n else 0
 
 
 def identity(n: int) -> IntMatrix:
@@ -166,11 +173,6 @@ class SeifertPair:
     def shape(self) -> tuple[int, int]:
         return (len(self.S), len(self.S[0]) if self.S else 0)
 
-    @property
-    def is_square(self) -> bool:
-        rows, cols = self.shape
-        return rows == cols
-
 
 @dataclass(frozen=True)
 class AlexanderMatrix:
@@ -187,11 +189,6 @@ class AlexanderMatrix:
     @property
     def shape(self) -> tuple[int, int]:
         return (len(self.entries), len(self.entries[0]) if self.entries else 0)
-
-    @property
-    def is_square(self) -> bool:
-        rows, cols = self.shape
-        return rows == cols
 
 
 @dataclass(frozen=True)
@@ -243,27 +240,6 @@ def intersection_form(pair: SeifertPair) -> IntMatrix:
 # -- determinants -------------------------------------------------------------
 
 
-def _det_bareiss(rows: Sequence[Sequence[LaurentPoly]]) -> LaurentPoly:
-    n = len(rows)
-    a = [list(row) for row in rows]
-    negate, prev = False, ONE
-    for k in range(n - 1):
-        if not a[k][k]:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    negate = not negate
-                    break
-            else:
-                return ZERO
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[k][k] * a[i][j] - a[i][k] * a[k][j]).exact_div(prev)
-        prev = a[k][k]
-    result = a[n - 1][n - 1]
-    return -result if negate else result
-
-
 def det(m: AlexanderMatrix) -> LaurentPoly:
     """Exact determinant over the Laurent ring (empty matrix: 1)."""
     rows, cols = m.shape
@@ -271,7 +247,9 @@ def det(m: AlexanderMatrix) -> LaurentPoly:
         raise NotSquare(f"{rows}x{cols} matrix has no determinant")
     if rows == 0:
         return ONE
-    return _det_bareiss(m.entries)
+    a = [list(row) for row in m.entries]
+    pivots, _, sign = _bareiss(a)
+    return sign * a[-1][-1] if len(pivots) == rows else ZERO
 
 
 def _balanced_digits(value: int, width: int) -> list[int]:
@@ -321,7 +299,7 @@ def pencil_det(pair: SeifertPair) -> LaurentPoly:
         return ZERO
     b = (h2.bit_length() + 5) // 4
     at_plus, at_minus = (
-        _bareiss([[x * s - v for s, v in zip(srow, nrow)] for srow, nrow in pencil])
+        int_det([[x * s - v for s, v in zip(srow, nrow)] for srow, nrow in pencil])
         for x in (1 << b, -(1 << b))
     )
     even, odd = (at_plus + at_minus) >> 1, (at_plus - at_minus) >> (b + 1)

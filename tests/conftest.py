@@ -25,7 +25,7 @@ from alexpoly import (
     check_pass_move,
     search_window,
 )
-from alexpoly.seifert import IntMatrix, _bareiss, as_int_matrix, transpose
+from alexpoly.seifert import IntMatrix, as_int_matrix, int_det, transpose
 
 
 def random_poly(
@@ -194,7 +194,7 @@ def pencil_det_interp_oracle(pair: SeifertPair) -> LaurentPoly:
     n = rows
     pencil = tuple(zip(pair.S, pair.N))
     coeffs = [
-        _bareiss([[x * s - v for s, v in zip(srow, nrow)] for srow, nrow in pencil])
+        int_det([[x * s - v for s, v in zip(srow, nrow)] for srow, nrow in pencil])
         for x in range(n + 1)
     ]
     for k in range(1, n + 1):

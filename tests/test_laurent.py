@@ -79,6 +79,15 @@ class TestExactDiv:
     def test_truediv_alias(self):
         assert (T * T - 1) / (T - 1) == T + 1
 
+    def test_floordiv_is_exact_and_takes_an_int(self):
+        assert (T * T - 1) // (T - 1) == T + 1
+        assert (4 * T - 6) // 2 == 2 * T - 3
+        assert ZERO // 5 == ZERO
+        with pytest.raises(NotDivisible):
+            (T + 1) // 2
+        with pytest.raises(ZeroDivisionError):
+            T // 0
+
 
 class TestEvalAtOne:
     def test_multiple_of_t_minus_one(self):
@@ -194,6 +203,13 @@ class TestQueries:
     def test_content(self):
         assert (4 * T - 6).content() == 2
         assert ZERO.content() == 0
+
+    def test_hash_agrees_with_equality_to_ints(self):
+        assert ONE == 1 and hash(ONE) == hash(1) and 1 in {ONE}
+        assert hash(ZERO) == 0 and 0 in {ZERO}
+        assert LaurentPoly.constant(-7) in {-7}
+        assert ONE == True and True in {ONE} and T != True and ZERO == False
+        assert len({T, T - 1 + 1, LaurentPoly({2: 1})}) == 1
 
     def test_pow(self):
         assert (T - 1) ** 2 == T * T - 2 * T + 1

@@ -261,16 +261,31 @@ class TestStabilize:
             stabilize(AlexanderMatrix(((T,),)), 2, (ZERO,))
 
 
+def _with_elimination_edits(rng, m, zero):
+    """m, then for size 2 and up three edits that random entries seldom
+    give: a zero (0, 0) entry, which forces a row swap; a zero column
+    before the last, which has no pivot; and one column repeated in
+    another, which leaves a later column without a pivot."""
+    yield m
+    n = len(m)
+    if n < 2:
+        return
+    blank, (src, dst) = rng.randrange(n - 1), rng.sample(range(n), 2)
+    yield ((zero,) + m[0][1:],) + m[1:]
+    yield tuple(row[:blank] + (zero,) + row[blank + 1 :] for row in m)
+    yield tuple(row[:dst] + (row[src],) + row[dst + 1 :] for row in m)
+
+
 def test_int_det_matches_oracle_randomized():
-    rng = random.Random(SEED + 1)
+    rng, edits = random.Random(SEED + 1), random.Random(SEED + 11)
     for _ in range(400):
         n = rng.randint(0, 5)
-        m = random_int_matrix(rng, n, n)
-        assert int_det(m) == perm_det_int_oracle(m)
+        for m in _with_elimination_edits(edits, random_int_matrix(rng, n, n), 0):
+            assert int_det(m) == perm_det_int_oracle(m)
 
 
 def test_det_matches_permutation_oracle_all_sizes():
-    rng = random.Random(SEED + 2)
+    rng, edits = random.Random(SEED + 2), random.Random(SEED + 12)
     for _ in range(1000):
         n = rng.randint(0, 5)
         entries = tuple(
@@ -281,7 +296,8 @@ def test_det_matches_permutation_oracle_all_sizes():
             )
             for _ in range(n)
         )
-        assert det(AlexanderMatrix(entries)) == perm_det_oracle(entries)
+        for m in _with_elimination_edits(edits, entries, ZERO):
+            assert det(AlexanderMatrix(m)) == perm_det_oracle(m)
 
 
 def test_det_beyond_cofactor_sizes():
