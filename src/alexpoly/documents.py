@@ -30,9 +30,11 @@ from .laurent import LaurentPoly
 from .seifert import SeifertPair
 
 
-# A quotient by t - 1 can have a term at every exponent between the
-# dividend's lowest and highest: alink on t^50000 - 1 writes 50,000 terms
-# (0.2 s for the whole process at the cap on a 2-vCPU Xeon VM).
+# At most 200,001 terms per polynomial.  Laurent arithmetic is linear in
+# the terms, but a quotient by t - 1, which find-reps computes, can have
+# a term at every exponent between the dividend's lowest and highest.
+# alink builds no quotient: 0.13 s for the whole process on t^50000 - 1,
+# as on t - 1 (2-vCPU Xeon VM).
 MAX_HALF_EXPONENT = 100_000
 # pencil_det does two integer Bareiss eliminations of an n x n matrix with
 # entries of O(n) bits: about 7 s at n = 64 with entries in [-3, 3] on

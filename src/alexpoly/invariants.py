@@ -2,11 +2,24 @@
 
 The two polynomial invariants are the Z- and Q-balanced classes of
 det(t*S - N) and the normalized polynomial det(t^(1/2)*S - t^(-1/2)*N).
-The integer invariants are extracted from those polynomials by exact
-division and evaluation at t = 1 (pseudo-alinking, pseudo-twinkling and
-the first/second order values), or read off the matrices at the kernel
-vectors of the intersection form S - N, in any basis.  The Arf invariant
-works on the diagonal Seifert pairings of a Z2-symplectic basis.
+The integer invariants are values at t = 1 of those polynomials divided
+by t - 1 or by a power of t^(1/2) - t^(-1/2) (pseudo-alinking,
+pseudo-twinkling and the first/second order values), or are read off the
+matrices at the kernel vectors of the intersection form S - N, in any
+basis.  The Arf invariant works on the diagonal Seifert pairings of a
+Z2-symplectic basis.
+
+No quotient is built.  Write u = t^(1/2) and f = sum of c_k*u^k over the
+half-exponent keys k.  Each divisor d is monic up to a unit, so d divides
+f over the integers exactly when it does over Q, that is when f vanishes
+at the roots of d to their order.  If f = d*q with d(1) = 0, then
+f'(1) = d'(1)*q(1), and if f = d^2*q, then f''(1) = 2*d'(1)^2*q(1); the
+derivatives of f at 1 are sums over the coefficients.  For t - 1 in the
+variable t, q(1) = delta'(1) = sum of (k/2)*c_k:
+
+>>> delta = LaurentPoly.parse('-5 + 2*t^1 + 3*t^3')
+>>> (delta // T_MINUS_ONE).eval_at_one(), sum(k // 2 * c for k, c in delta.terms.items())
+(11, 11)
 """
 from __future__ import annotations
 
@@ -100,11 +113,10 @@ def normalized_alexander(data: NormalizedInput) -> LaurentPoly:
 def report(pair: SeifertPair) -> InvariantReport:
     """Polynomial and both classes for a square pair, plus scalar extras."""
     poly = pencil_det(pair)
-    scalars = {"determinant_at_one": poly.eval_at_one()}
-    try:
+    at_one = poly.eval_at_one()
+    scalars = {"determinant_at_one": at_one}
+    if at_one == 0:
         scalars["pseudo_alinking"] = pseudo_alinking_from_poly(poly)
-    except NotDivisible:
-        pass
     return InvariantReport(
         polynomial=poly,
         class_z=BalancedClass.from_poly(poly, Ring.Z),
@@ -113,10 +125,38 @@ def report(pair: SeifertPair) -> InvariantReport:
     )
 
 
+def _moments(f: LaurentPoly) -> tuple[list[int], list[int], list[int]]:
+    """Sums of c_k, k*c_k and k^2*c_k over the terms c_k*t^(k/2) of f,
+    each as [sum over even k, sum over odd k]."""
+    m0, m1, m2 = [0, 0], [0, 0], [0, 0]
+    for k, c in f.terms.items():
+        odd = k & 1
+        m0[odd] += c
+        c *= k
+        m1[odd] += c
+        m2[odd] += k * c
+    return m0, m1, m2
+
+
+def _not_divisible(f: LaurentPoly, divisor) -> NotDivisible:
+    return NotDivisible(f"{f} is not divisible by {divisor}")
+
+
 def pseudo_alinking_from_poly(delta: LaurentPoly) -> int:
-    """|delta/(t-1) at t=1| for a polynomial divisible by t-1 (0 for 0)."""
+    """|delta/(t-1) at t=1| for a polynomial divisible by t-1 (0 for 0).
+
+    t - 1 divides delta exactly when delta(1), the coefficient sum, is 0;
+    the quotient at 1 is then delta'(1), the sum of (k/2)*c_k.
+
+    >>> delta = LaurentPoly.parse('-5 + 2*t^1 + 3*t^3')
+    >>> pseudo_alinking_from_poly(delta), (delta // T_MINUS_ONE).eval_at_one()
+    (11, 11)
+    """
     _require_integral(delta)
-    return abs(delta.exact_div(T_MINUS_ONE).eval_at_one())
+    (at_one, _), (slope, _), _ = _moments(delta)
+    if at_one:
+        raise _not_divisible(delta, T_MINUS_ONE)
+    return abs(slope) // 2
 
 
 def _distinguished_cycles(pair: SeifertPair) -> tuple[list[int], list[int]]:
@@ -149,13 +189,41 @@ def pseudo_twinkling_from_pair(pair: SeifertPair) -> int:
 
 
 def first_order_at_one(f: LaurentPoly) -> int:
-    """f/(t^(1/2) - t^(-1/2)) evaluated at t = 1 (0 for the zero input)."""
-    return f.exact_div(T_HALF_DIFF).eval_at_one()
+    """f/(t^(1/2) - t^(-1/2)) evaluated at t = 1 (0 for the zero input).
+
+    With u = t^(1/2), the divisor u - 1/u = (u - 1)(u + 1)/u divides f
+    exactly when f(1) and f(-1) are 0, that is when the coefficient sums
+    over even k and over odd k are both 0.  The quotient at 1 is then
+    f'(1)/2, half the sum of k*c_k.
+
+    >>> f = LaurentPoly.parse('-2*t^(-1/2) + -1*t^(1/2) + 3*t^(3/2)')
+    >>> first_order_at_one(f), (f // T_HALF_DIFF).eval_at_one()
+    (5, 5)
+    """
+    (even, odd), slope, _ = _moments(f)
+    if even or odd:
+        raise _not_divisible(f, T_HALF_DIFF)
+    return sum(slope) // 2
 
 
 def second_order_at_one(f: LaurentPoly) -> int:
-    """f/(t^(1/2) - t^(-1/2))^2 evaluated at t = 1 (0 for the zero input)."""
-    return f.exact_div(T_HALF_DIFF).exact_div(T_HALF_DIFF).eval_at_one()
+    """f/(t^(1/2) - t^(-1/2))^2 evaluated at t = 1 (0 for the zero input).
+
+    With u = t^(1/2), the square of u - 1/u divides f exactly when f and
+    f' vanish at u = 1 and u = -1: the sums of c_k and of k*c_k are 0
+    over even k and over odd k.  The quotient at 1 is then f''(1)/8, an
+    eighth of the sum of k^2*c_k.
+
+    >>> f = LaurentPoly.parse('2*t^-1 + -1 + -4*t^1 + 3*t^2')
+    >>> second_order_at_one(f), (f // T_HALF_DIFF // T_HALF_DIFF).eval_at_one()
+    (5, 5)
+    """
+    (even, odd), slope, curvature = _moments(f)
+    if even or odd:
+        raise _not_divisible(f, T_HALF_DIFF)
+    if any(slope):
+        raise _not_divisible(f, f"({T_HALF_DIFF})^2")
+    return sum(curvature) // 8
 
 
 def arf(data: ArfData) -> int:

@@ -131,8 +131,8 @@ class LaurentPoly:
         return hash(frozenset(self._terms.items()))
 
     def __add__(self, other: int | LaurentPoly) -> LaurentPoly:
-        if isinstance(other, int):
-            other = LaurentPoly.constant(other)
+        if isinstance(other, int):  # a bool counts as its int, as in __mul__
+            other = _wrap({0: int(other)})
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         out = dict(self._terms)
@@ -147,7 +147,7 @@ class LaurentPoly:
 
     def __sub__(self, other: int | LaurentPoly) -> LaurentPoly:
         if isinstance(other, int):
-            other = LaurentPoly.constant(other)
+            other = _wrap({0: int(other)})
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         out = dict(self._terms)
@@ -158,7 +158,7 @@ class LaurentPoly:
     def __rsub__(self, other: int) -> LaurentPoly:
         if not isinstance(other, int):
             return NotImplemented
-        return LaurentPoly.constant(other) - self
+        return -self + other
 
     def __mul__(self, other: int | LaurentPoly) -> LaurentPoly:
         if isinstance(other, int):

@@ -3,7 +3,9 @@
 The oracles here deliberately avoid the library's own code paths:
 determinants are expanded over permutations or cofactors, products are
 convolved on raw dicts, exact quotients come from a long division that
-rescans the remainder for its lowest term at every step, Seifert pencil
+rescans the remainder for its lowest term at every step (and the values
+at t = 1 of quotients by t - 1 and t^(1/2) - t^(-1/2) from that
+division rather than from coefficient sums), Seifert pencil
 determinants are interpolated from m + 1 integer values instead of being
 unpacked from two large ones, balanced equality is decided by
 cross-multiplying contents rather than by canonical forms,
@@ -18,6 +20,7 @@ import random
 from alexpoly import (
     BalancedClass,
     LaurentPoly,
+    NonIntegerExponent,
     NotDivisible,
     NotSquare,
     RepresentativeWitness,
@@ -25,6 +28,7 @@ from alexpoly import (
     check_pass_move,
     search_window,
 )
+from alexpoly.laurent import T_HALF_DIFF, T_MINUS_ONE
 from alexpoly.seifert import IntMatrix, as_int_matrix, int_det, transpose
 
 
@@ -94,6 +98,20 @@ def exact_div_oracle(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
             else:
                 rem.pop(ne, None)
     return LaurentPoly(quot)
+
+
+def pseudo_alinking_oracle(delta: LaurentPoly) -> int:
+    """|delta/(t-1)| at t = 1, the quotient built by long division."""
+    if not delta.is_integral():
+        raise NonIntegerExponent(f"{delta} has half powers of t")
+    return abs(exact_div_oracle(delta, T_MINUS_ONE).eval_at_one())
+
+
+def order_at_one_oracle(f: LaurentPoly, order: int) -> int:
+    """f/(t^(1/2) - t^(-1/2))^order at t = 1, dividing order times."""
+    for _ in range(order):
+        f = exact_div_oracle(f, T_HALF_DIFF)
+    return f.eval_at_one()
 
 
 def z_balanced_oracle(f: LaurentPoly, g: LaurentPoly) -> bool:

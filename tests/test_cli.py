@@ -1,12 +1,17 @@
 import contextlib
 import copy
+import importlib.util
 import io
 import json
+import pkgutil
 import random
+import sys
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import alexpoly
 from alexpoly import LaurentPoly, Ring, SeifertPair, canonicalize, check_pass_move
 from alexpoly.cli import main
 from alexpoly.documents import MAX_HALF_EXPONENT, MAX_MATRIX_DIM
@@ -563,3 +568,18 @@ def test_random_json_values_are_rejected(tmp_path_factory, value, command):
     path = tmp_path_factory.mktemp("json") / "doc.json"
     path.write_text(json.dumps(value), encoding="utf-8")
     _assert_rejected(*_run([command, str(path)]))
+
+
+def test_importing_a_module_runs_no_command(monkeypatch):
+    # Only `python -m alexpoly` runs the CLI; importing any module, the
+    # package's __main__ included, leaves the host program's argv alone.
+    monkeypatch.setattr(sys, "argv", ["host-program", "--not-an-alexpoly-option"])
+    names = [info.name for info in pkgutil.walk_packages(alexpoly.__path__, "alexpoly.")]
+    assert "alexpoly.__main__" in names
+    for name in names:
+        # A fresh copy of each module, so one imported earlier runs again.
+        spec = importlib.util.find_spec(name)
+        try:
+            spec.loader.exec_module(importlib.util.module_from_spec(spec))
+        except SystemExit as exc:
+            pytest.fail(f"importing {name} exited with {exc.code!r}")

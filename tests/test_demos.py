@@ -1,4 +1,5 @@
-"""Every demo script runs to completion and prints its walk-through."""
+"""Every demo script runs to completion, with warnings as errors, and
+prints its walk-through."""
 import os
 import subprocess
 import sys
@@ -21,7 +22,7 @@ def test_demo_runs(demo):
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
     )
     result = subprocess.run(
-        [sys.executable, str(demo)],
+        [sys.executable, "-W", "error", str(demo)],
         cwd=ROOT,
         env=env,
         capture_output=True,

@@ -43,7 +43,9 @@ from alexpoly import (
 from alexpoly.seifert import _corank_one_kernel, mat_mul, pencil_det, transpose
 from conftest import (
     alinking_block_pair,
+    order_at_one_oracle,
     perm_det_int_oracle,
+    pseudo_alinking_oracle,
     random_int_matrix,
     random_poly,
     random_unimodular,
@@ -213,6 +215,19 @@ class TestOrderValues:
 
     def test_second_order_zero(self):
         assert second_order_at_one(ZERO) == 0
+
+    def test_second_order_not_divisible_once(self):
+        with pytest.raises(NotDivisible) as exc:
+            second_order_at_one(ONE)
+        assert str(exc.value) == "1 is not divisible by -1*t^(-1/2) + 1*t^(1/2)"
+
+    def test_second_order_divisible_once_not_twice(self):
+        # Named after the input, not after the quotient by the first factor.
+        with pytest.raises(NotDivisible) as exc:
+            second_order_at_one(HALF_DIFF)
+        assert str(exc.value) == (
+            "-1*t^(-1/2) + 1*t^(1/2) is not divisible by (-1*t^(-1/2) + 1*t^(1/2))^2"
+        )
 
 
 class TestArf:
@@ -421,3 +436,77 @@ def test_pair_routes_reject_non_square_forms():
     for route in (pseudo_alinking_from_pair, pseudo_twinkling_from_pair):
         with pytest.raises(PreconditionViolated, match="Smith form"):
             route(pair)
+
+
+def _order_factor(rng, integral: bool, big: bool) -> LaurentPoly:
+    """A dense (consecutive keys) or sparse cofactor on one grid, with
+    coefficients below 10 or between 2^64 and 2^70 in size."""
+    step = 2 if integral else 1
+    if rng.random() < 0.5:
+        start = rng.randint(-20, 20)
+        keys = [step * (start + i) for i in range(rng.randint(1, 24))]
+    else:
+        keys = [step * rng.randint(-300, 300) for _ in range(rng.randint(1, 6))]
+    size = (2**64, 2**70) if big else (1, 9)
+    return LaurentPoly({k: rng.choice((-1, 1)) * rng.randint(*size) for k in keys})
+
+
+def _order_cases(rng, g: LaurentPoly):
+    u_minus_one = T_HALF - 1
+    odd_monomial = LaurentPoly.half_power(2 * rng.randint(-10, 10) + 1)
+    return (
+        (T - 1) * g,
+        HALF_DIFF * g,  # divisible once, and twice only if g(1) = g(-1) = 0
+        HALF_DIFF * HALF_DIFF * g,
+        g,  # f(1) != 0 unless the coefficients cancel
+        u_minus_one * g,  # f(1) = 0, and f(-1) != 0 unless g(-1) = 0
+        HALF_DIFF * u_minus_one * g,  # f'(1) = 0 but f'(-1) != 0
+        HALF_DIFF * g + odd_monomial,  # even-key sum 0, odd-key sum 1
+        HALF_DIFF * HALF_DIFF * g - odd_monomial,
+    )
+
+
+def _outcome(route, f):
+    try:
+        return route(f)
+    except (NotDivisible, NonIntegerExponent) as exc:
+        return type(exc), str(exc)
+
+
+def test_orders_at_one_match_division_oracle_randomized():
+    # Coefficient sums against quotients built by long division: the same
+    # value, or the same error; the messages match too except where the
+    # second factor fails, which the sums name after the input.
+    rng = random.Random(SEED + 10)
+    outcomes = collections.Counter()
+    cases = [ZERO] + [
+        f
+        for i in range(300)
+        for f in _order_cases(rng, _order_factor(rng, i % 2 == 0, i % 5 == 0))
+    ]
+    for f in cases:
+        alink = _outcome(pseudo_alinking_from_poly, f)
+        assert alink == _outcome(pseudo_alinking_oracle, f), f
+        first = _outcome(first_order_at_one, f)
+        assert first == _outcome(lambda f: order_at_one_oracle(f, 1), f), f
+        second = _outcome(second_order_at_one, f)
+        want = _outcome(lambda f: order_at_one_oracle(f, 2), f)
+        if type(first) is int and type(second) is not int:
+            assert second == (NotDivisible, f"{f} is not divisible by ({HALF_DIFF})^2")
+            assert type(want) is tuple and want[0] is NotDivisible, f
+        else:
+            assert second == want, f
+        for name, value in (("alink", alink), ("first", first), ("second", second)):
+            if type(value) is tuple:
+                kind = value[0].__name__
+            else:
+                kind = "big" if abs(value) > 2**64 else "value"
+            outcomes[name, kind] += 1
+        outcomes["once, not twice"] += type(first) is int and type(second) is not int
+    # Values, big values and each error occur for every route.
+    minimum = {"value": (250, 900, 200), "big": (25, 90, 45), "NotDivisible": (120, 900, 1600)}
+    for kind, counts in minimum.items():
+        for name, least in zip(("alink", "first", "second"), counts):
+            assert outcomes[name, kind] > least, (name, kind)
+    assert outcomes["alink", "NonIntegerExponent"] > 1500
+    assert outcomes["once, not twice"] > 700

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -183,6 +184,28 @@ class TestConstructor:
             LaurentPoly({True: 1})
 
 
+class TestBoolOperands:
+    # As an arithmetic operand a bool is its int, as it is for Python ints.
+    def test_add(self):
+        assert T + True == True + T == T + 1
+        assert T + False == False + T == T
+        assert ZERO + True == ONE
+
+    def test_sub(self):
+        assert T - True == T - 1
+        assert True - T == 1 - T
+        assert T - False == T and False - T == -T
+        assert ONE - True == ZERO
+
+    def test_results_render_as_ints(self):
+        assert str(T_HALF + True) == "1 + 1*t^(1/2)"
+        assert (True - T).terms == {0: 1, 2: -1}
+
+    def test_mul_agrees(self):
+        assert T * True == True * T == T
+        assert T * False == ZERO
+
+
 class TestQueries:
     def test_zero_has_no_degree_span(self):
         assert ZERO.min_halfexp is None
@@ -246,6 +269,23 @@ def test_exact_div_inverts_mul_randomized():
         f = random_poly(rng)
         g = random_nonzero_poly(rng)
         assert (f * g).exact_div(g) == f
+
+
+def test_exact_div_scales_linearly():
+    # Dense 50,000-term quotients by t - 1 and, twice, by t^(1/2) -
+    # t^(-1/2).  A division that rescans the whole remainder at every step
+    # took about two minutes on inputs of this size.
+    rng = random.Random(SEED + 7)
+    size = 50_000
+    g = LaurentPoly({2 * i: rng.choice((-1, 1)) * rng.randint(1, 9) for i in range(size)})
+    h = LaurentPoly({i - size: rng.choice((-1, 1)) * rng.randint(1, 9) for i in range(size)})
+    f_integral, f_half = T_MINUS_ONE * g, T_HALF_DIFF * T_HALF_DIFF * h
+    start = time.perf_counter()
+    q_integral = f_integral.exact_div(T_MINUS_ONE)
+    q_half = f_half.exact_div(T_HALF_DIFF).exact_div(T_HALF_DIFF)
+    elapsed = time.perf_counter() - start
+    assert q_integral == g and q_half == h
+    assert elapsed < 5.0, f"{elapsed:.2f} s for three {size}-term divisions"
 
 
 def _quotient_or_error(divide, f: LaurentPoly, g: LaurentPoly):
