@@ -12,7 +12,7 @@ import enum
 from dataclasses import dataclass
 
 from .errors import NonIntegerExponent
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, _wrap
 
 
 class Ring(enum.Enum):
@@ -53,15 +53,15 @@ def canonicalize(f: LaurentPoly, ring: Ring) -> LaurentPoly:
     _require_integral(f)
     if not f:
         return f
-    terms = f.terms
+    terms = f._terms
     low = min(terms)
     negative = terms[max(terms)] < 0
     if ring is Ring.Z:
         if negative:
-            return LaurentPoly({k - low: -v for k, v in terms.items()})
+            return _wrap({k - low: -v for k, v in terms.items()})
         return f if low == 0 else f.shift(-low)
     scale = -f.content() if negative else f.content()
-    return LaurentPoly({k - low: v // scale for k, v in terms.items()})
+    return _wrap({k - low: v // scale for k, v in terms.items()})
 
 
 @dataclass(frozen=True)

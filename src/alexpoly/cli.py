@@ -9,6 +9,7 @@ identity holds, 1 the identity fails (or no unit multiples satisfy it),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -212,7 +213,14 @@ def _cmd_corpus(args) -> int:
     return EXIT_OK if corpus_report.all_passed else EXIT_FAILED
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared after it.
+
+    The parser holds each command's handler; a handler looks up what it
+    calls when it runs, so a patched module global still takes effect.
+    Callers must not change the parser they get.
+    """
     parser = argparse.ArgumentParser(
         prog="alexpoly",
         description="Exact Seifert-matrix invariants and skein-identity checks.",
@@ -267,8 +275,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command and return its exit code (see the module docstring).
+
+    argv defaults to ``sys.argv[1:]``; bad usage raises ``SystemExit(2)``
+    from argparse.  The parser is built once per process, and every call
+    parses into a fresh namespace, so ``main`` may be called repeatedly in
+    one process and one call's options never carry over to the next.
+    """
+    args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
     except (InvalidDocument, OSError, ValueError) as exc:

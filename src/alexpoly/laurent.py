@@ -14,7 +14,7 @@ from heapq import heappop, heappush
 
 from .errors import NotDivisible
 
-# One term: c, c*t^n or c*t^(k/2); parse() rejects what str() would not write.
+# One term of the grammar: c, c*t^n or c*t^(k/2).  Only parse() errors use it.
 _TERM = re.compile(r"(-?\d+)(?:\*t\^(?:(-?\d+)|\((-?\d+)/2\)))?", re.ASCII)
 
 
@@ -66,20 +66,37 @@ class LaurentPoly:
         ``c``, ``c*t^n`` or ``c*t^(k/2)`` with k odd, nonzero coefficients
         without leading zeros; the zero polynomial is the single ``0``.
 
+        Splitting on `` + `` and ``*t^`` and reading the pieces with
+        ``int()`` is only a tokenizer, and a lenient one: ``int()`` also
+        takes ``+5``, `` 5``, ``1_0`` and non-ASCII digits.  The round trip
+        through ``str`` is the grammar check and rejects every such text.
+        A rejected text is parsed again term by term against the grammar,
+        so the error names the first term that breaks it.
+
         >>> LaurentPoly.parse('-1*t^-1 + 2 + -1*t^1')
         LaurentPoly('-1*t^-1 + 2 + -1*t^1')
+        >>> LaurentPoly.parse('1 + 0*t^1')
+        Traceback (most recent call last):
+        ...
+        ValueError: '1 + 0*t^1' is not in canonical form
         """
         terms: dict[int, int] = {}
-        for part in text.split(" + "):
-            m = _TERM.fullmatch(part)
-            if m is None:
-                raise ValueError(f"cannot parse term {part!r}")
-            coeff, whole, half = m.groups()
-            terms[2 * int(whole) if whole else int(half) if half else 0] = int(coeff)
-        f = cls(terms)
-        if str(f) != text:
-            raise ValueError(f"{text!r} is not in canonical form")
-        return f
+        try:
+            for part in text.split(" + "):
+                coeff, star, exp = part.partition("*t^")
+                if not star:
+                    terms[0] = int(coeff)
+                elif exp[:1] == "(":
+                    terms[int(exp[1:-3])] = int(coeff)
+                else:
+                    terms[2 * int(exp)] = int(coeff)
+        except ValueError:
+            pass
+        else:
+            f = _wrap(terms)
+            if str(f) == text:
+                return f
+        raise _parse_error(text)
 
     # -- basic queries ----------------------------------------------------
 
@@ -290,13 +307,32 @@ class LaurentPoly:
         return f"LaurentPoly('{self}')"
 
 
+def _parse_error(text: str) -> ValueError:
+    """The error for a text ``LaurentPoly.parse`` rejects.
+
+    The first term the grammar does not match is named; before that term
+    is reached, a coefficient or exponent that ``int()`` refuses (more
+    digits than ``sys.get_int_max_str_digits()``) raises that error here.
+    A text whose terms all match is not in canonical form.
+    """
+    for part in text.split(" + "):
+        m = _TERM.fullmatch(part)
+        if m is None:
+            return ValueError(f"cannot parse term {part!r}")
+        for digits in m.groups():
+            if digits is not None:
+                int(digits)
+    return ValueError(f"{text!r} is not in canonical form")
+
+
 def _wrap(terms: dict[int, int], f: LaurentPoly | None = None) -> LaurentPoly:
     """The polynomial whose terms are the nonzero entries of an int map.
 
     The one place zero terms are dropped.  It takes the map over, so
     callers pass one nobody else holds, and it checks no types: the
-    constructor checks outside input before calling it, and the arithmetic
-    passes maps it built from ints.  Fills f when given, else a new object.
+    constructor checks outside input before calling it, while the
+    arithmetic, ``parse`` and ``balance.canonicalize`` pass maps they built
+    from ints.  Fills f when given, else a new object.
     """
     if f is None:
         f = object.__new__(LaurentPoly)

@@ -9,13 +9,15 @@ division rather than from coefficient sums), Seifert pencil
 determinants are interpolated from m + 1 integer values instead of being
 unpacked from two large ones, balanced equality is decided by
 cross-multiplying contents rather than by canonical forms,
-representative witnesses are found by trying every candidate triple, and
-parities are counted by inversions.
+representative witnesses are found by trying every candidate triple,
+parities are counted by inversions, and polynomial text is matched term by
+term against a regular expression of the grammar.
 """
 from __future__ import annotations
 
 import itertools
 import random
+import re
 
 from alexpoly import (
     BalancedClass,
@@ -98,6 +100,27 @@ def exact_div_oracle(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
             else:
                 rem.pop(ne, None)
     return LaurentPoly(quot)
+
+
+# One term: c, c*t^n or c*t^(k/2), with ASCII digits only.
+_TERM = re.compile(r"(-?\d+)(?:\*t\^(?:(-?\d+)|\((-?\d+)/2\)))?", re.ASCII)
+
+
+def parse_oracle(text: str) -> LaurentPoly:
+    """LaurentPoly.parse by one regular-expression match per term, then
+    the validating constructor and the str round trip; the same value or
+    ValueError message as the library."""
+    terms: dict[int, int] = {}
+    for part in text.split(" + "):
+        m = _TERM.fullmatch(part)
+        if m is None:
+            raise ValueError(f"cannot parse term {part!r}")
+        coeff, whole, half = m.groups()
+        terms[2 * int(whole) if whole else int(half) if half else 0] = int(coeff)
+    f = LaurentPoly(terms)
+    if str(f) != text:
+        raise ValueError(f"{text!r} is not in canonical form")
+    return f
 
 
 def pseudo_alinking_oracle(delta: LaurentPoly) -> int:

@@ -171,6 +171,31 @@ def test_canon_leading_dash_needs_separator(capsys):
     assert "canonical: 1" in capsys.readouterr().out
 
 
+def test_consecutive_calls_share_no_options(tmp_path, capsys):
+    # The parser is built once per process; each call starts from defaults.
+    assert main(["canon", "--json", "--ring", "Q", "-8 + 8*t^1"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "canonical": {"kind": "laurent", "terms": {"0": -1, "2": 1}}
+    }
+    assert main(["canon", "--ring", "Q", "-8 + 8*t^1"]) == 0
+    assert capsys.readouterr().out == "canonical: -1 + 1*t^1\n"
+    path = write(tmp_path, "p.json", V_ZERO)
+    assert main(["norm", path, "--middle-injective", "false"]) == 0
+    assert capsys.readouterr().out == "normalized: 0\n"
+    assert main(["norm", path]) == 0
+    assert capsys.readouterr().out == "normalized: 1*t^(-1/2) + -1*t^(1/2)\n"
+
+
+def test_bad_option_exits_2_and_leaves_the_parser_usable(capsys):
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["canon", "--ring", "Z", "--no-such-option", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --no-such-option" in capsys.readouterr().err
+    assert main(["canon", "--ring", "Z", "1"]) == 0
+    assert capsys.readouterr().out == "canonical: 1\n"
+
+
 def test_find_reps(tmp_path, capsys):
     doc = dict(INTRO_TRIPLE)
     doc["zero"] = {"kind": "laurent", "terms": {"0": 1}}

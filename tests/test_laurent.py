@@ -1,5 +1,7 @@
 import random
+import sys
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from alexpoly.laurent import T_HALF_DIFF, T_MINUS_ONE
 from conftest import (
     dict_product_oracle,
     exact_div_oracle,
+    parse_oracle,
     random_nonzero_poly,
     random_poly,
 )
@@ -358,6 +361,132 @@ def test_render_parse_roundtrip_randomized():
     for _ in range(CASES):
         f = random_poly(rng)
         assert LaurentPoly.parse(str(f)) == f
+
+
+def _parsed_or_error(parse, text: str):
+    try:
+        return parse(text).terms
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def _coefficient_edit(edit):
+    """A mutation that rewrites the coefficient of one term."""
+
+    def mutate(rng, parts):
+        i = rng.randrange(len(parts))
+        coeff, star, exp = parts[i].partition("*t^")
+        parts[i] = edit(rng, coeff) + star + exp
+
+    return mutate
+
+
+def _exponent_edit(edit):
+    """A mutation that rewrites the exponent text of one term (``t^0`` for
+    the constant term)."""
+
+    def mutate(rng, parts):
+        i = rng.randrange(len(parts))
+        coeff, _, exp = parts[i].partition("*t^")
+        parts[i] = f"{coeff}*t^{edit(rng, exp or '0')}"
+
+    return mutate
+
+
+def _swap(rng, parts):
+    i, j = rng.randrange(len(parts)), rng.randrange(len(parts))
+    parts[i], parts[j] = parts[j], parts[i]
+
+
+def _pad(rng, parts):
+    if rng.randrange(2):
+        parts[0] = " " + parts[0]
+    else:
+        parts[-1] += " "
+
+
+def _duplicate(rng, parts):
+    i = rng.randrange(len(parts))
+    parts.insert(i, parts[i])
+
+
+def _truncate(rng, parts):
+    i = rng.randrange(len(parts))
+    parts[i] = parts[i].partition("*t^")[0] + rng.choice(("*t^(", "*t^", "*t", "*"))
+
+
+def _non_ascii_digit(rng, parts):
+    i = rng.randrange(len(parts))
+    j = rng.choice([j for j, ch in enumerate(parts[i]) if ch.isdigit()])
+    digit = chr(rng.choice((0x660, 0xFF10)) + int(parts[i][j]))  # Arabic-Indic, fullwidth
+    parts[i] = parts[i][:j] + digit + parts[i][j + 1:]
+
+
+_PARSE_MUTATIONS = (
+    _coefficient_edit(lambda rng, c: "+" + c.lstrip("-")),
+    _coefficient_edit(lambda rng, c: c + "_0"),
+    _coefficient_edit(lambda rng, c: ("-0" if c[0] == "-" else "0") + c.lstrip("-")),
+    _coefficient_edit(lambda rng, c: "-0"),
+    _coefficient_edit(lambda rng, c: rng.choice(" \t") + c),
+    _coefficient_edit(lambda rng, c: rng.choice("123456789") + "0" * 4999),
+    _exponent_edit(lambda rng, e: "0"),
+    _exponent_edit(lambda rng, e: f"({2 * rng.randint(-5, 5)}/2)"),
+    _exponent_edit(lambda rng, e: f"({rng.randint(-9, 9)}/3)"),
+    _exponent_edit(lambda rng, e: "+" + e),
+    _exponent_edit(lambda rng, e: "1" + "0" * 4999),
+    _pad,
+    _swap,
+    _duplicate,
+    _truncate,
+    _non_ascii_digit,
+)
+
+
+def _parse_outcome_kind(outcome) -> str:
+    if isinstance(outcome, dict):
+        return "accepted"
+    message = outcome[1]
+    if message.startswith("cannot parse term "):
+        return "cannot parse term"
+    if message.startswith("Exceeds the limit "):
+        return "digit limit"
+    assert message.endswith(" is not in canonical form"), message
+    return "not in canonical form"
+
+
+def test_parse_matches_oracle_randomized():
+    # Canonical renderings, and renderings with one to three edits: each
+    # parses to the oracle's value or fails with its exact error.
+    rng = random.Random(SEED + 8)
+    big = "1" * 5000
+    texts = [
+        "", " ", "0", "-0", " 0", "0 ", "1 + ", " + 1", "1 +  + 2",
+        f"+{big}", f"{big}*t^{big}1", f"-1*t^({big}/2) + {big}",
+        f"{big} + x", f"x + {big}", f"{big}*t^x", f"1*t^(1/2) + 2*t^{big}",
+    ]
+    for _ in range(3000):
+        sparse = rng.randrange(3) == 0
+        span = 4000 if sparse else 16
+        text = str(random_poly(
+            rng, integral=rng.randrange(2) == 0, max_terms=12,
+            halfexp_lo=-span, halfexp_hi=span,
+        ))
+        if rng.randrange(4):
+            parts = text.split(" + ")
+            for _ in range(rng.randint(1, 3)):
+                rng.choice(_PARSE_MUTATIONS)(rng, parts)
+            text = " + ".join(parts)
+        texts.append(text)
+    outcomes = Counter()
+    for text in texts:
+        got = _parsed_or_error(LaurentPoly.parse, text)
+        assert got == _parsed_or_error(parse_oracle, text), text[:200]
+        outcomes[_parse_outcome_kind(got)] += 1
+    assert outcomes["accepted"] > 600
+    assert outcomes["cannot parse term"] > 1000
+    assert outcomes["not in canonical form"] > 300
+    if hasattr(sys, "get_int_max_str_digits"):
+        assert outcomes["digit limit"] > 200
 
 
 def test_mul_matches_dict_oracle_randomized():
