@@ -11,12 +11,14 @@ Four document kinds exist:
 Laurent term keys are half-exponents as decimal strings: the key k maps
 a coefficient onto t^(k/2), so even keys are integer powers of t.  A key
 is accepted only in the form str(k) writes; integers are JSON integers,
-never true/false.  Nesting too deep to decode is an invalid document.
+never true/false.  An object has only the keys shown, and no object
+repeats a key.  Nesting too deep to decode is an invalid document.
 
-Two size limits bound the work any document can ask for: every
-half-exponent k satisfies |k| <= MAX_HALF_EXPONENT, and S and N have at
-most MAX_MATRIX_DIM rows and columns.  They apply here, where input comes
-in, and not to the arithmetic itself.
+Three size limits bound the work any document can ask for: every
+half-exponent k satisfies |k| <= MAX_HALF_EXPONENT, S and N have at most
+MAX_MATRIX_DIM rows and columns, and their entries e satisfy
+|e| <= MAX_MATRIX_ENTRY.  They apply here, where input comes in, and not
+to the arithmetic itself.
 """
 from __future__ import annotations
 
@@ -30,16 +32,24 @@ from .laurent import LaurentPoly
 from .seifert import SeifertPair
 
 
-# At most 200,001 terms per polynomial.  Laurent arithmetic is linear in
-# the terms, but a quotient by t - 1, which find-reps computes, can have
-# a term at every exponent between the dividend's lowest and highest.
-# alink builds no quotient: 0.13 s for the whole process on t^50000 - 1,
-# as on t - 1 (2-vCPU Xeon VM).
+# At most 200,001 terms per polynomial.  The commands build no quotient,
+# so their Laurent arithmetic is linear in the terms: alink on
+# t^50000 - 1 and find-reps on three sparse polynomials spanning
+# t^0..t^50000 take under 0.2 s for the whole process (2-vCPU Xeon VM).
 MAX_HALF_EXPONENT = 100_000
 # pencil_det does two integer Bareiss eliminations of an n x n matrix with
 # entries of O(n) bits: about 7 s at n = 64 with entries in [-3, 3] on
 # a 2-vCPU Xeon VM.
 MAX_MATRIX_DIM = 64
+# The bits grow with the entries: with every entry +-15, n = 64 takes
+# 18.7-20.6 s on a VM where the [-3, 3] case takes 8.6-9.8 s: about twice.
+MAX_MATRIX_ENTRY = 15
+_KEYS = {
+    "seifert_pair": ("kind", "p", "n", "S", "N"),
+    "laurent": ("kind", "terms"),
+    "triple": ("kind", "move", "plus", "minus", "zero"),
+    "arf": ("kind", "a", "b"),
+}
 
 
 @dataclass(frozen=True)
@@ -61,6 +71,16 @@ def _require(condition: bool, message: str) -> None:
         raise InvalidDocument(message)
 
 
+def _require_kind(obj: Any, kind: str) -> None:
+    """obj is a document of the given kind with exactly the keys in _KEYS."""
+    _require(isinstance(obj, dict), f"{kind} document must be an object")
+    _require(obj.get("kind") == kind, f"expected a document of kind {kind!r}")
+    for key in _KEYS[kind]:
+        _require(key in obj, f"{kind} document needs {key!r}")
+    for key in obj:
+        _require(key in _KEYS[kind], f"{kind} document has an unknown key {key!r}")
+
+
 def require_halfexp_cap(halfexp: int) -> None:
     """Raise InvalidDocument when |halfexp| exceeds MAX_HALF_EXPONENT."""
     _require(
@@ -70,9 +90,8 @@ def require_halfexp_cap(halfexp: int) -> None:
 
 
 def laurent_from_doc(obj: Any) -> LaurentPoly:
-    _require(isinstance(obj, dict), "laurent document must be an object")
-    _require(obj.get("kind") == "laurent", "expected a laurent document")
-    terms = obj.get("terms")
+    _require_kind(obj, "laurent")
+    terms = obj["terms"]
     _require(isinstance(terms, dict), "laurent document needs a terms object")
     out = {}
     for key, coeff in terms.items():
@@ -92,10 +111,7 @@ def laurent_to_doc(f: LaurentPoly) -> dict:
 
 
 def seifert_pair_from_doc(obj: Any) -> SeifertPair:
-    _require(isinstance(obj, dict), "seifert_pair document must be an object")
-    _require(obj.get("kind") == "seifert_pair", "expected a seifert_pair document")
-    for key in ("p", "n", "S", "N"):
-        _require(key in obj, f"seifert_pair document needs {key!r}")
+    _require_kind(obj, "seifert_pair")
     _require(type(obj["p"]) is int and type(obj["n"]) is int, "p and n must be integers")
     for key in ("S", "N"):
         rows = obj[key]
@@ -106,6 +122,10 @@ def seifert_pair_from_doc(obj: Any) -> SeifertPair:
         _require(
             len(rows) <= MAX_MATRIX_DIM and all(len(row) <= MAX_MATRIX_DIM for row in rows),
             f"{key} is past the cap of {MAX_MATRIX_DIM} rows and columns",
+        )
+        _require(
+            all(type(v) is not int or abs(v) <= MAX_MATRIX_ENTRY for row in rows for v in row),
+            f"{key} has an entry past the cap of {MAX_MATRIX_ENTRY}",
         )
     try:
         return SeifertPair(obj["S"], obj["N"], obj["p"], obj["n"])
@@ -124,20 +144,15 @@ def seifert_pair_to_doc(pair: SeifertPair) -> dict:
 
 
 def triple_from_doc(obj: Any) -> Triple:
-    _require(isinstance(obj, dict), "triple document must be an object")
-    _require(obj.get("kind") == "triple", "expected a triple document")
-    move = obj.get("move")
+    _require_kind(obj, "triple")
+    move = obj["move"]
     _require(move in ("pass", "twist"), 'triple move must be "pass" or "twist"')
-    polys = {}
-    for key in ("plus", "minus", "zero"):
-        _require(key in obj, f"triple document needs {key!r}")
-        polys[key] = laurent_from_doc(obj[key])
-    return Triple(polys["plus"], polys["minus"], polys["zero"], move)
+    plus, minus, zero = (laurent_from_doc(obj[key]) for key in ("plus", "minus", "zero"))
+    return Triple(plus, minus, zero, move)
 
 
 def arf_from_doc(obj: Any) -> ArfData:
-    _require(isinstance(obj, dict), "arf document must be an object")
-    _require(obj.get("kind") == "arf", "expected an arf document")
+    _require_kind(obj, "arf")
     for key in ("a", "b"):
         _require(isinstance(obj.get(key), list), f"arf document needs a list {key!r}")
         _require(all(type(v) is int for v in obj[key]), f"arf list {key!r} must hold integers")
@@ -162,10 +177,17 @@ def parse_document(obj: Any) -> Document:
     return Document(kind, _PARSERS[kind](obj))
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
+    """Decode one JSON object; a key that occurs twice is an error."""
+    obj = dict(pairs)
+    _require(len(obj) == len(pairs), "duplicate key in a JSON object")
+    return obj
+
+
 def load_document(path: str) -> Document:
     try:
         with open(path, encoding="utf-8") as handle:
-            obj = json.load(handle)
+            obj = json.load(handle, object_pairs_hook=_unique_keys)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise InvalidDocument(f"{path}: {exc}") from None
     return parse_document(obj)

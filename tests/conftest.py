@@ -9,12 +9,14 @@ division rather than from coefficient sums), Seifert pencil
 determinants are interpolated from m + 1 integer values instead of being
 unpacked from two large ones, balanced equality is decided by
 cross-multiplying contents rather than by canonical forms,
-representative witnesses are found by trying every candidate triple,
+representative witnesses are found by trying every candidate triple
+(or every plus and minus pair, with a lookup of the zero multiples),
 parities are counted by inversions, and polynomial text is matched term by
 term against a regular expression of the grammar.
 """
 from __future__ import annotations
 
+import collections
 import itertools
 import random
 import re
@@ -176,6 +178,37 @@ def find_representatives_oracle(
             shifts = tuple((sign, n) for n, sign in triple)
             return RepresentativeWitness(found=True, shifts=shifts)
     return RepresentativeWitness(found=False)
+
+
+def find_representatives_lookup_oracle(
+    cp: BalancedClass, cm: BalancedClass, c0: BalancedClass
+) -> RepresentativeWitness:
+    """find_representatives_oracle over the same (4W+2)^3 candidates and
+    order key, with (4W+2)^2 checks: each plus x minus pair of singles
+    looks up the zero singles whose right-hand side (t - 1)*s0*t^n0*r0
+    equals its left-hand side."""
+    w = search_window(cp, cm, c0)
+    singles = list(itertools.product(range(-w, w + 1), (1, -1)))
+    rp, rm, r0 = cp.representative, cm.representative, c0.representative
+    zeros = collections.defaultdict(list)
+    for n0, s0 in singles:
+        zeros[T_MINUS_ONE * r0.shift(2 * n0) * s0].append((n0, s0))
+    minus = [((nm, sm), rm.shift(2 * nm) * sm) for nm, sm in singles]
+    best = None
+    for np_, sp in singles:
+        plus = rp.shift(2 * np_) * sp
+        for single, g in minus:
+            for zero in zeros.get(plus - g, ()):
+                triple = ((np_, sp), single, zero)
+                key = (
+                    sum(abs(n) for n, _ in triple),
+                    *((abs(n), n < 0, sign < 0) for n, sign in triple),
+                )
+                if best is None or key < best[0]:
+                    best = (key, triple)
+    if best is None:
+        return RepresentativeWitness(found=False)
+    return RepresentativeWitness(found=True, shifts=tuple((s, n) for n, s in best[1]))
 
 
 def _parity(perm: tuple[int, ...]) -> int:

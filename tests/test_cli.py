@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import alexpoly
 from alexpoly import LaurentPoly, Ring, SeifertPair, canonicalize, check_pass_move
 from alexpoly.cli import main
-from alexpoly.documents import MAX_HALF_EXPONENT, MAX_MATRIX_DIM
+from alexpoly.documents import MAX_HALF_EXPONENT, MAX_MATRIX_DIM, MAX_MATRIX_ENTRY
 from conftest import move_triple, random_int_matrix
 
 PAIR_4 = {"kind": "seifert_pair", "p": 1, "n": 2, "S": [[4]], "N": [[4]]}
@@ -273,13 +273,27 @@ def test_find_reps_span_30_window_91(tmp_path, capsys):
         assert not found or check_pass_move(*shifted).holds
 
 
-def test_find_reps_window_above_cap_is_precondition_error(tmp_path, capsys):
+def test_find_reps_window_past_128_is_answered(tmp_path, capsys):
     doc = _pass_doc({"0": 1, "256": 1}, {"0": 1}, {"0": 1})
-    assert main(["find-reps", write(tmp_path, "t.json", doc)]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert len(captured.err.splitlines()) == 1
-    assert "129" in captured.err
+    assert main(["find-reps", write(tmp_path, "t.json", doc)]) == 1
+    assert capsys.readouterr() == (
+        "found: false (no unit multiples satisfy the pass-move identity;"
+        " the window 129 is complete)\n",
+        "",
+    )
+
+
+def test_find_reps_at_exponent_cap(tmp_path, capsys):
+    # dm = 1 + t^k and d0 = 1 + t^(k-1) with k = 50000: plus is
+    # dm + (t - 1)*d0 = t*(1 - t^(k-2) + 2*t^(k-1)).
+    top = MAX_HALF_EXPONENT
+    plus = {"2": 1, str(top - 2): -1, str(top): 2}
+    doc = _pass_doc(plus, {"0": 1, str(top): 1}, {"0": 1, str(top - 2): 1})
+    assert main(["find-reps", write(tmp_path, "t.json", doc)]) == 0
+    assert capsys.readouterr().out == (
+        "found: true (window 149999)\n"
+        "plus: multiply by +t^1\nminus: multiply by +t^0\nzero: multiply by +t^0\n"
+    )
 
 
 def test_find_reps_rejects_twist(tmp_path, capsys):
@@ -420,6 +434,22 @@ def test_pair_past_dimension_cap_is_input_error(tmp_path, capsys):
         _assert_one_line_input_error(capsys)
 
 
+def test_pair_entry_cap(tmp_path, capsys):
+    top = MAX_MATRIX_ENTRY
+    doc = {"kind": "seifert_pair", "p": 1, "n": 2, "S": [[top, -top], [0, top]],
+           "N": [[-top, 0], [top, top]]}
+    assert main(["alex", write(tmp_path, "p.json", doc)]) == 0
+    square = top * top  # det(t*S - N) = top^2 * (t^2 - t - 1)
+    assert capsys.readouterr().out.startswith(
+        f"polynomial: {-square} + {-square}*t^1 + {square}*t^2\n"
+    )
+    for entry in (top + 1, -top - 1, 10**4000):
+        path = write(tmp_path, "p.json", {**doc, "N": [[-top, 0], [entry, top]]})
+        for command in ("alex", "norm", "alink", "twinkle"):
+            assert main([command, path]) == 2
+            _assert_one_line_input_error(capsys)
+
+
 # Garbage documents: random JSON values, and valid documents of every kind
 # with one edit that the documented format forbids.  Every one must end in
 # exit 2 or 3 with one stderr line and nothing on stdout.
@@ -507,10 +537,14 @@ def _shape_errors(doc) -> list:
 
 def _past_cap(doc, data):
     doc = copy.deepcopy(doc)
-    if doc["kind"] == "seifert_pair":
+    if doc["kind"] == "seifert_pair" and data.draw(st.booleans()):
         size = MAX_MATRIX_DIM + 1
         cols = data.draw(st.sampled_from((1, size)))
         doc["S"] = doc["N"] = [[0] * cols for _ in range(size)]
+    elif doc["kind"] == "seifert_pair":
+        row = data.draw(st.sampled_from(doc[data.draw(st.sampled_from(("S", "N")))]))
+        entry = data.draw(st.integers(MAX_MATRIX_ENTRY + 1, 10**4000))
+        row[data.draw(st.integers(0, len(row) - 1))] = data.draw(st.sampled_from((entry, -entry)))
     else:
         terms = doc["terms"] if doc["kind"] == "laurent" else doc["zero"]["terms"]
         k = data.draw(st.integers(MAX_HALF_EXPONENT + 1, 10 * MAX_HALF_EXPONENT))
@@ -518,9 +552,38 @@ def _past_cap(doc, data):
     return doc
 
 
+def _objects(doc):
+    """A document and the laurent documents nested in it."""
+    return [doc, *(doc[key] for key in ("plus", "minus", "zero") if key in doc)]
+
+
+def _repeat_key(doc, data):
+    """JSON text of doc in which one object lists one of its keys twice."""
+    objects = _objects(doc)
+    objects += [obj["terms"] for obj in objects if obj.get("terms")]
+    target = data.draw(st.sampled_from(objects))
+    key = data.draw(st.sampled_from(sorted(target)))
+
+    def dump(value):
+        if not isinstance(value, dict):
+            return json.dumps(value)
+        items = [*value.items(), *([(key, value[key])] if value is target else [])]
+        return "{" + ", ".join(f"{json.dumps(k)}: {dump(v)}" for k, v in items) + "}"
+
+    return dump(doc)
+
+
 def _break(doc, data):
-    """A copy of a valid document with one edit that makes it invalid."""
-    edit = data.draw(st.sampled_from(["value", "value", "shape", "past cap", "wrap"]))
+    """JSON text of a valid document with one edit that makes it invalid."""
+    edit = data.draw(st.sampled_from(
+        ["value", "value", "shape", "past cap", "wrap", "unknown key", "repeated key"]
+    ))
+    if edit == "repeated key":
+        return _repeat_key(doc, data)
+    return json.dumps(_edit(doc, edit, data))
+
+
+def _edit(doc, edit, data):
     if edit == "wrap":
         return [doc]
     if edit == "shape":
@@ -528,6 +591,11 @@ def _break(doc, data):
     if edit == "past cap" and doc["kind"] != "arf":  # arf lists have no cap
         return _past_cap(doc, data)
     doc = copy.deepcopy(doc)
+    if edit == "unknown key":
+        holder = data.draw(st.sampled_from(_objects(doc)))
+        allowed = REQUIRED[holder["kind"]]
+        holder[data.draw(st.text(max_size=8).filter(lambda k: k not in allowed))] = 0
+        return doc
     path, role = data.draw(st.sampled_from(list(_places(doc))))
     *parents, last = path
     holder = doc
@@ -582,7 +650,7 @@ def test_near_miss_documents_are_rejected(tmp_path_factory, data):
             text = json.dumps(doc)
             text = text[: data.draw(st.integers(0, len(text) - 1))]
         else:
-            text = json.dumps(_break(doc, data))
+            text = _break(doc, data)
     path.write_text(text, encoding="utf-8")
     _assert_rejected(*_run([command, str(path)]))
 

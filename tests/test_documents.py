@@ -6,6 +6,7 @@ from alexpoly import InvalidDocument, LaurentPoly, SeifertPair, T
 from alexpoly.documents import (
     MAX_HALF_EXPONENT,
     MAX_MATRIX_DIM,
+    MAX_MATRIX_ENTRY,
     Triple,
     arf_from_doc,
     laurent_from_doc,
@@ -72,6 +73,16 @@ def test_seifert_pair_dimension_cap():
     for rows, cols in ((MAX_MATRIX_DIM + 1, 1), (1, MAX_MATRIX_DIM + 1)):
         with pytest.raises(InvalidDocument, match="cap"):
             seifert_pair_from_doc(_square_pair_doc(rows, cols))
+
+
+def test_seifert_pair_entry_cap():
+    top = MAX_MATRIX_ENTRY
+    doc = {**PAIR_DOC, "S": [[top, -top], [0, 1]], "N": [[-top, 0], [top, 1]]}
+    assert seifert_pair_from_doc(doc) == SeifertPair(doc["S"], doc["N"], 1, 2)
+    for entry in (top + 1, -top - 1, 10**4000):
+        for key in ("S", "N"):
+            with pytest.raises(InvalidDocument, match="cap"):
+                seifert_pair_from_doc({**doc, key: [[1, 0], [0, entry]]})
 
 
 @pytest.mark.parametrize("rows", ["", "abc", {}, {"0": [1]}, [1], ["1"], 4, None])
@@ -189,3 +200,40 @@ def test_load_document_too_deep(tmp_path):
     deep.write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
     with pytest.raises(InvalidDocument):
         load_document(str(deep))
+
+
+TRIPLE_DOC = {
+    "kind": "triple", "move": "pass", "plus": LAURENT_DOC, "minus": LAURENT_DOC, "zero": LAURENT_DOC,
+}
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {**LAURENT_DOC, "junk": [1, 2]},
+        {**PAIR_DOC, "S ": [[4]]},
+        {**TRIPLE_DOC, "note": "x"},
+        {**TRIPLE_DOC, "zero": {**LAURENT_DOC, "kind ": "laurent"}},
+        {"kind": "arf", "a": [1, 1], "b": [1, 0], "c": []},
+    ],
+)
+def test_unknown_keys_are_rejected(doc):
+    with pytest.raises(InvalidDocument, match="unknown key"):
+        parse_document(doc)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"kind": "laurent", "terms": {"0": -1, "0": 5, "2": 1}}',
+        '{"kind": "laurent", "kind": "laurent", "terms": {}}',
+        '{"kind": "triple", "move": "pass", "plus": {"kind": "laurent", "terms": {},'
+        ' "terms": {}}, "minus": {"kind": "laurent", "terms": {}},'
+        ' "zero": {"kind": "laurent", "terms": {}}}',
+    ],
+)
+def test_load_document_rejects_repeated_keys(tmp_path, text):
+    path = tmp_path / "doc.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(InvalidDocument, match="duplicate key"):
+        load_document(str(path))

@@ -10,7 +10,7 @@ from alexpoly import (
     NonIntegerExponent,
     NormalizedInput,
     ONE,
-    PreconditionViolated,
+    RepresentativeWitness,
     Ring,
     SeifertPair,
     T,
@@ -25,8 +25,8 @@ from alexpoly import (
 )
 from alexpoly import skein
 from alexpoly.seifert import pencil_det
-from alexpoly.skein import MAX_SEARCH_WINDOW
 from conftest import (
+    find_representatives_lookup_oracle,
     find_representatives_oracle,
     move_triple,
     perm_det_oracle,
@@ -188,12 +188,33 @@ def test_search_matches_brute_force_oracle_randomized():
             if search_window(*classes) <= 6:
                 break
         witness = find_representatives(*classes)
-        expected = find_representatives_oracle(*classes)
+        expected = find_representatives_lookup_oracle(*classes)
         assert witness == expected
         outcomes[kind, expected.found] += 1
     # Each kind keeps producing the outcome it is there to exercise.
     assert all(outcomes[kind, False] > 50 for kind in (2, 4))
     assert all(outcomes[kind, True] > 50 for kind in (0, 1, 3))
+
+
+def test_lookup_oracle_matches_full_oracle_randomized():
+    # The lookup oracle tries the same candidates in the same order as the
+    # oracle that checks every candidate triple.
+    rng = random.Random(SEED + 7)
+    outcomes = collections.Counter()
+    for i in range(150):
+        kind, slot = i % 5, (i // 5) % 3
+        while True:
+            polys = [
+                f.shift(2 * rng.randint(-2, 2)) * rng.choice((1, -1))
+                for f in _search_case(rng, kind, slot)
+            ]
+            classes = _z_classes(*polys)
+            if search_window(*classes) <= 3:
+                break
+        expected = find_representatives_oracle(*classes)
+        assert find_representatives_lookup_oracle(*classes) == expected
+        outcomes[expected.found] += 1
+    assert outcomes[True] > 30 and outcomes[False] > 30
 
 
 def _cancelling_case(rng, perturb):
@@ -216,17 +237,50 @@ def _cancelling_case(rng, perturb):
     return triple
 
 
-def test_window_is_complete_randomized(monkeypatch):
-    # The docstring of find_representatives proves that a witness of least
-    # total shift lies within W.  Widening the window the search reads to 3W
-    # must then find no new witness, and the same first one.
+def _relative_in_box(rp, rm, r0, bound):
+    """Every (sp, sm, s0, d, e) with |d|, |e| <= bound and
+    sp*t^d*rp - sm*rm = s0*t^e*(t - 1)*r0: each (sp, sm, d) looks up the
+    (s0, e) whose right-hand side equals its left-hand side."""
+    box = range(-bound, bound + 1)
+    rhs = collections.defaultdict(list)
+    for s0, e in itertools.product((1, -1), box):
+        rhs[(T - 1) * r0.shift(2 * e) * s0].append((s0, e))
+    return {
+        (sp, sm, s0, d, e)
+        for sp, sm, d in itertools.product((1, -1), (1, -1), box)
+        for s0, e in rhs.get(rp.shift(2 * d) * sp - rm * sm, ())
+    }
+
+
+def _expand(witnesses, bound):
+    """The relative witnesses with |d|, |e| <= bound that the tuples of
+    skein._relative_witnesses stand for, free slots filled every way."""
+    box = range(-bound, bound + 1)
+    out = set()
+    for sp, sm, s0, d, e in witnesses:
+        if sm is None and sp is not None:
+            # A free minus exponent moves d and e together.
+            shifts = [(d + n, e + n) for n in range(-2 * bound, 2 * bound + 1)]
+        else:
+            shifts = list(itertools.product(
+                box if sp is None else [d], box if s0 is None else [e]
+            ))
+        signs = [(1, -1) if s is None else (s,) for s in (sp, sm, s0)]
+        out.update(
+            (*three, d_, e_)
+            for three in itertools.product(*signs)
+            for d_, e_ in shifts
+            if abs(d_) <= bound and abs(e_) <= bound
+        )
+    return out
+
+
+def test_window_is_complete_randomized():
+    # Trying every sign and every relative shift |d|, |e| <= 3W finds
+    # exactly the relative witnesses that find_representatives derives,
+    # and each of those satisfies the identity.  The witness returned has
+    # at most one nonzero shift, of size at most W, and W is reached.
     rng = random.Random(SEED + 4)
-    widened = []
-
-    def wide_window(*classes):
-        widened.append(classes)
-        return 3 * search_window(*classes)
-
     outcomes = collections.Counter()
     for i in range(1400):
         kind, slot = i % 7, (i // 7) % 3
@@ -240,14 +294,19 @@ def test_window_is_complete_randomized(monkeypatch):
             w = search_window(*classes)
             if w <= 8:
                 break
-        narrow = find_representatives(*classes)
-        with monkeypatch.context() as patch:
-            patch.setattr(skein, "search_window", wide_window)
-            wide = find_representatives(*classes)
-        assert len(widened) == i + 1
-        assert wide == narrow
-        largest = max((abs(n) for _, n in narrow.shifts), default=0)
-        outcomes["found" if narrow.found else "none"] += 1
+        rp, rm, r0 = (c.representative for c in classes)
+        derived = skein._relative_witnesses(rp, rm, r0)
+        for sp, sm, s0, d, e in derived:
+            sp, sm, s0 = (1 if s is None else s for s in (sp, sm, s0))
+            assert check_pass_move(rp.shift(2 * d) * sp, rm * sm, r0.shift(2 * e) * s0).holds
+        assert _expand(derived, 3 * w) == _relative_in_box(rp, rm, r0, 3 * w)
+        witness = find_representatives(*classes)
+        assert witness.found == bool(derived)
+        shifts = [abs(n) for _, n in witness.shifts]
+        assert sum(n > 0 for n in shifts) <= 1
+        largest = max(shifts, default=0)
+        assert largest <= w
+        outcomes["found" if witness.found else "none"] += 1
         outcomes["shifted"] += largest > 0
         outcomes["shift W"] += largest == w
     # Both verdicts occur, and the bound is reached: W cannot be narrowed.
@@ -309,16 +368,19 @@ def test_off_diagonal_bump_breaks_the_move_randomized():
     assert broken > 150
 
 
-class TestSearchWindowCap:
-    def test_window_above_cap_is_rejected(self):
-        classes = _z_classes(T**MAX_SEARCH_WINDOW + 1, ONE, ONE)
-        assert search_window(*classes) == MAX_SEARCH_WINDOW + 1
-        with pytest.raises(PreconditionViolated):
-            find_representatives(*classes)
+class TestWideWindows:
+    def test_window_past_128_is_answered(self):
+        classes = _z_classes(T**128 + 1, ONE, ONE)
+        assert search_window(*classes) == 129
+        assert find_representatives(*classes) == RepresentativeWitness(found=False)
+        dm, d0 = 1 + T**4000, 1 + T**3999
+        classes = _z_classes(dm + (T - 1) * d0, dm, d0)
+        assert search_window(*classes) == 11_999
+        assert find_representatives(*classes).shifts == ((1, 1), (1, 0), (1, 0))
 
-    def test_window_at_cap_is_searched(self):
+    def test_window_128_witness(self):
         dm, d0 = 1 + T**43, 1 + T**42
         classes = _z_classes(dm + (T - 1) * d0, dm, d0)
-        assert search_window(*classes) == MAX_SEARCH_WINDOW
+        assert search_window(*classes) == 128
         witness = find_representatives(*classes)
         assert witness.shifts == ((1, 1), (1, 0), (1, 0))
