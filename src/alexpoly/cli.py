@@ -5,6 +5,14 @@ polynomial in the canonical text grammar, and prints either plain text
 or, with --json, machine-readable JSON.  Exit codes: 0 success / the
 identity holds, 1 the identity fails (or no unit multiples satisfy it),
 2 bad input, 3 an operation precondition was violated.
+
+A command states its result once, as (JSON key, text label, value)
+fields, and _show prints them.  With --json the fields form one object
+with sorted keys, and a LaurentPoly value becomes its laurent document.
+Otherwise each field prints as a ``label: value`` line in the order
+given, a polynomial in the text grammar and a bool as true/false; a
+field whose label is None goes to the JSON only.  find-reps and corpus
+print sentences, not fields, so they give both forms to _emit.
 """
 from __future__ import annotations
 
@@ -24,7 +32,6 @@ from .documents import (
 )
 from .errors import AlexpolyError, InvalidDocument
 from .invariants import (
-    ArfData,
     NormalizedInput,
     arf,
     normalized_alexander,
@@ -34,7 +41,6 @@ from .invariants import (
     report,
 )
 from .laurent import LaurentPoly
-from .seifert import SeifertPair
 from .skein import check_pass_move, check_twist_move, find_representatives, search_window
 
 EXIT_OK = 0
@@ -51,6 +57,23 @@ def _emit(args, payload: dict, lines: list[str]) -> None:
             print(line)
 
 
+def _show(args, code: int, *fields: tuple[str, str | None, object]) -> int:
+    """Print a result given as (JSON key, text label, value) fields; return code."""
+    if args.json:
+        payload = {
+            key: laurent_to_doc(value) if isinstance(value, LaurentPoly) else value
+            for key, _, value in fields
+        }
+        print(json.dumps(payload, sort_keys=True))
+    else:
+        for _, label, value in fields:
+            if label is not None:
+                if isinstance(value, bool):
+                    value = "true" if value else "false"
+                print(f"{label}: {value}")
+    return code
+
+
 def _load(path: str, kinds: tuple[str, ...]) -> Document:
     doc = load_document(path)
     if doc.kind not in kinds:
@@ -61,57 +84,35 @@ def _load(path: str, kinds: tuple[str, ...]) -> Document:
 
 
 def _cmd_alex(args) -> int:
-    pair = _load(args.file, ("seifert_pair",)).value
-    result = report(pair)
-    _emit(
+    result = report(_load(args.file, ("seifert_pair",)).value)
+    return _show(
         args,
-        {
-            "polynomial": laurent_to_doc(result.polynomial),
-            "z_class": laurent_to_doc(result.class_z.representative),
-            "q_class": laurent_to_doc(result.class_q.representative),
-        },
-        [
-            f"polynomial: {result.polynomial}",
-            f"Z class: {result.class_z.representative}",
-            f"Q class: {result.class_q.representative}",
-        ],
+        EXIT_OK,
+        ("polynomial", "polynomial", result.polynomial),
+        ("z_class", "Z class", result.class_z.representative),
+        ("q_class", "Q class", result.class_q.representative),
     )
-    return EXIT_OK
 
 
 def _cmd_norm(args) -> int:
     pair = _load(args.file, ("seifert_pair",)).value
     data = NormalizedInput(pair, middle_condition=args.middle_injective == "true")
-    value = normalized_alexander(data)
-    _emit(args, {"normalized": laurent_to_doc(value)}, [f"normalized: {value}"])
-    return EXIT_OK
-
-
-def _verdict_output(args, move: str, verdict) -> int:
-    _emit(
-        args,
-        {
-            "move": move,
-            "holds": verdict.holds,
-            "lhs": laurent_to_doc(verdict.lhs),
-            "rhs": laurent_to_doc(verdict.rhs),
-            "residual": laurent_to_doc(verdict.residual),
-        },
-        [
-            f"move: {move}",
-            f"lhs: {verdict.lhs}",
-            f"rhs: {verdict.rhs}",
-            f"residual: {verdict.residual}",
-            f"holds: {'true' if verdict.holds else 'false'}",
-        ],
-    )
-    return EXIT_OK if verdict.holds else EXIT_FAILED
+    return _show(args, EXIT_OK, ("normalized", "normalized", normalized_alexander(data)))
 
 
 def _cmd_skein(args) -> int:
     triple: Triple = _load(args.file, ("triple",)).value
     check = check_pass_move if triple.move == "pass" else check_twist_move
-    return _verdict_output(args, triple.move, check(triple.plus, triple.minus, triple.zero))
+    verdict = check(triple.plus, triple.minus, triple.zero)
+    return _show(
+        args,
+        EXIT_OK if verdict.holds else EXIT_FAILED,
+        ("move", "move", triple.move),
+        ("lhs", "lhs", verdict.lhs),
+        ("rhs", "rhs", verdict.rhs),
+        ("residual", "residual", verdict.residual),
+        ("holds", "holds", verdict.holds),
+    )
 
 
 def _cmd_alink(args) -> int:
@@ -120,29 +121,20 @@ def _cmd_alink(args) -> int:
         value = pseudo_alinking_from_poly(doc.value)
     else:
         value = pseudo_alinking_from_pair(doc.value)
-    _emit(args, {"pseudo_alinking": value}, [f"pseudo-alinking: {value}"])
-    return EXIT_OK
+    return _show(args, EXIT_OK, ("pseudo_alinking", "pseudo-alinking", value))
 
 
 def _cmd_twinkle(args) -> int:
-    pair: SeifertPair = _load(args.file, ("seifert_pair",)).value
-    value = pseudo_twinkling_from_pair(pair)
-    _emit(args, {"pseudo_twinkling": value}, [f"pseudo-twinkling: {value}"])
-    return EXIT_OK
+    value = pseudo_twinkling_from_pair(_load(args.file, ("seifert_pair",)).value)
+    return _show(args, EXIT_OK, ("pseudo_twinkling", "pseudo-twinkling", value))
 
 
 def _cmd_arf(args) -> int:
-    data: ArfData = _load(args.file, ("arf",)).value
-    value = arf(data)
-    _emit(args, {"arf": value}, [f"arf: {value}"])
-    return EXIT_OK
+    return _show(args, EXIT_OK, ("arf", "arf", arf(_load(args.file, ("arf",)).value)))
 
 
 def _parse_poly(text: str) -> LaurentPoly:
-    try:
-        f = LaurentPoly.parse(text)
-    except ValueError as exc:
-        raise InvalidDocument(str(exc)) from None
+    f = LaurentPoly.parse(text)
     if f:
         require_halfexp_cap(f.min_halfexp)
         require_halfexp_cap(f.max_halfexp)
@@ -153,19 +145,17 @@ def _cmd_balanced_eq(args) -> int:
     ring = Ring[args.ring]
     f, g = _parse_poly(args.f), _parse_poly(args.g)
     equal = (z_balanced_eq if ring is Ring.Z else q_balanced_eq)(f, g)
-    _emit(
+    return _show(
         args,
-        {"ring": ring.value, "balanced": equal},
-        [f"{ring.value}-balanced: {'true' if equal else 'false'}"],
+        EXIT_OK if equal else EXIT_FAILED,
+        ("ring", None, ring.value),
+        ("balanced", f"{ring.value}-balanced", equal),
     )
-    return EXIT_OK if equal else EXIT_FAILED
 
 
 def _cmd_canon(args) -> int:
-    ring = Ring[args.ring]
-    value = canonicalize(_parse_poly(args.f), ring)
-    _emit(args, {"canonical": laurent_to_doc(value)}, [f"canonical: {value}"])
-    return EXIT_OK
+    value = canonicalize(_parse_poly(args.f), Ring[args.ring])
+    return _show(args, EXIT_OK, ("canonical", "canonical", value))
 
 
 def _cmd_find_reps(args) -> int:
@@ -227,48 +217,35 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, handler, help_text):
+    def add(name, handler, help_text, *positionals, ring=False):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--json", action="store_true", help="emit JSON output")
+        if ring:
+            p.add_argument("--ring", choices=("Z", "Q"), required=True)
+        for dest in positionals:
+            p.add_argument(dest)
         p.set_defaults(handler=handler)
         return p
 
-    p = add("alex", _cmd_alex, "Z and Q Alexander classes of a Seifert pair")
-    p.add_argument("file")
-
-    p = add("norm", _cmd_norm, "normalized Alexander polynomial of a Seifert pair")
-    p.add_argument("file")
-    p.add_argument(
+    add("alex", _cmd_alex, "Z and Q Alexander classes of a Seifert pair", "file")
+    add(
+        "norm", _cmd_norm, "normalized Alexander polynomial of a Seifert pair", "file"
+    ).add_argument(
         "--middle-injective",
         choices=("true", "false"),
         default="true",
         help="whether the middle Alexander matrix induces an injective map",
     )
-
-    p = add("skein", _cmd_skein, "check the pass- or twist-move identity of a triple")
-    p.add_argument("file")
-
-    p = add("alink", _cmd_alink, "pseudo-alinking number from a polynomial or pair")
-    p.add_argument("file")
-
-    p = add("twinkle", _cmd_twinkle, "pseudo-twinkling number of a Seifert pair")
-    p.add_argument("file")
-
-    p = add("arf", _cmd_arf, "Arf invariant from diagonal Seifert pairings")
-    p.add_argument("file")
-
-    p = add("balanced-eq", _cmd_balanced_eq, "test balanced equivalence of two polynomials")
-    p.add_argument("--ring", choices=("Z", "Q"), required=True)
-    p.add_argument("f")
-    p.add_argument("g")
-
-    p = add("canon", _cmd_canon, "canonical balanced-class representative")
-    p.add_argument("--ring", choices=("Z", "Q"), required=True)
-    p.add_argument("f")
-
-    p = add("find-reps", _cmd_find_reps, "search unit multiples satisfying the pass move")
-    p.add_argument("file")
-
+    add("skein", _cmd_skein, "check the pass- or twist-move identity of a triple", "file")
+    add("alink", _cmd_alink, "pseudo-alinking number from a polynomial or pair", "file")
+    add("twinkle", _cmd_twinkle, "pseudo-twinkling number of a Seifert pair", "file")
+    add("arf", _cmd_arf, "Arf invariant from diagonal Seifert pairings", "file")
+    add(
+        "balanced-eq", _cmd_balanced_eq, "test balanced equivalence of two polynomials",
+        "f", "g", ring=True,
+    )
+    add("canon", _cmd_canon, "canonical balanced-class representative", "f", ring=True)
+    add("find-reps", _cmd_find_reps, "search unit multiples satisfying the pass move", "file")
     add("corpus", _cmd_corpus, "run every bundled example and report pass/fail")
 
     return parser

@@ -139,10 +139,6 @@ def int_det(m: IntMatrix) -> int:
     return sign * a[-1][-1] if len(pivots) == n else 0
 
 
-def identity(n: int) -> IntMatrix:
-    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-
-
 # -- core data types ----------------------------------------------------------
 
 

@@ -298,6 +298,10 @@ def random_int_matrix(rng: random.Random, rows: int, cols: int, lo=-3, hi=3) -> 
     return tuple(tuple(rng.randint(lo, hi) for _ in range(cols)) for _ in range(rows))
 
 
+def identity(n: int) -> IntMatrix:
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
 def random_unimodular(rng: random.Random, n: int, steps: int = 6) -> IntMatrix:
     """Unimodular matrix built from elementary row operations on identity."""
     if n == 0:

@@ -1,14 +1,28 @@
 """Every demo script runs to completion, with warnings as errors, and
-prints its walk-through."""
+prints its walk-through; README's examples print what README shows."""
+import contextlib
+import io
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from alexpoly.cli import main
+
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+def readme_block(lang: str, marker: str) -> str:
+    """The README code block in the given language that contains marker."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(rf"```{lang}\n(.*?)```", readme, re.DOTALL)
+    (block,) = [b for b in blocks if marker in b]
+    return block
 
 
 def test_demos_exist():
@@ -31,3 +45,41 @@ def test_demo_runs(demo):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip()
+
+
+def test_readme_library_tour_prints_its_comments():
+    block = readme_block("python", "check_twist_move")
+    expected = ["1 | 1*t^-1 + -1 + 1*t^1 | 1*t^(-1/2) + -1*t^(1/2)", "True"]
+    printed = [line.partition("# ")[2] for line in block.splitlines() if line.startswith("print(")]
+    assert printed == expected
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(block, "README.md", "exec"), {})
+    assert out.getvalue().splitlines() == expected
+
+
+def test_readme_shell_transcript(tmp_path, monkeypatch):
+    """Replays the transcript: the echo line writes its file, and each
+    alexpoly line runs through main and prints the lines shown under it."""
+    monkeypatch.chdir(tmp_path)
+    commands = []
+    for line in readme_block("sh", "pair.json").splitlines():
+        if line.startswith("$ "):
+            commands.append((shlex.split(line[2:]), []))
+        else:
+            commands[-1][1].append(line)
+    (echo, text, redirect, path), shown = commands[0]
+    assert (echo, redirect, shown) == ("echo", ">", [])
+    Path(path).write_text(text + "\n", encoding="utf-8")
+    for argv, shown in commands[1:]:
+        assert argv[0] == "alexpoly"
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(argv[1:]) == 0
+        assert out.getvalue().splitlines() == shown
+    assert [line for _, shown in commands for line in shown] == [
+        "polynomial: -4 + 4*t^1",
+        "Z class: -4 + 4*t^1",
+        "Q class: -1 + 1*t^1",
+        "Q-balanced: true",
+    ]

@@ -28,7 +28,6 @@ from alexpoly import (
 )
 from alexpoly.seifert import (
     as_int_matrix,
-    identity,
     int_det,
     mat_mul,
     pencil_det,
@@ -36,6 +35,7 @@ from alexpoly.seifert import (
 )
 from conftest import (
     cofactor_det_oracle,
+    identity,
     pencil_det_interp_oracle,
     perm_det_int_oracle,
     perm_det_oracle,
