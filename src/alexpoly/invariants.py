@@ -129,7 +129,7 @@ def _moments(f: LaurentPoly) -> tuple[list[int], list[int], list[int]]:
     """Sums of c_k, k*c_k and k^2*c_k over the terms c_k*t^(k/2) of f,
     each as [sum over even k, sum over odd k]."""
     m0, m1, m2 = [0, 0], [0, 0], [0, 0]
-    for k, c in f.terms.items():
+    for k, c in f._terms.items():
         odd = k & 1
         m0[odd] += c
         c *= k

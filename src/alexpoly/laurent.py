@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import math
 import re
+from functools import reduce
 from heapq import heappop, heappush
+from operator import or_
 
 from .errors import NotDivisible
 
@@ -125,8 +127,12 @@ class LaurentPoly:
         return max(self._terms) - min(self._terms)
 
     def is_integral(self) -> bool:
-        """True iff only integer powers of t occur (all keys even)."""
-        return all(k % 2 == 0 for k in self._terms)
+        """True iff only integer powers of t occur (all keys even).
+
+        One pass over the keys ORs them together: any odd key, negative
+        ones included, sets bit 0 of the result.
+        """
+        return not reduce(or_, self._terms, 0) & 1
 
     def content(self) -> int:
         """Gcd of the absolute coefficients; 0 for the zero polynomial."""

@@ -3,7 +3,9 @@
 The pass-move identity compares dp - dm with (t - 1)*d0 over integer
 powers; the twist-move identity compares dp - dm with
 (t^(1/2) - t^(-1/2))*d0 on the half grid.  Both are exact: a verdict
-carries the two sides and their residual.
+carries the two sides and their residual.  It compares the two sides
+first and builds the residual lhs - rhs only when they differ; when they
+are equal the residual is the shared ZERO.
 
 Balanced classes only determine polynomials up to units, so a triple of
 classes satisfies the pass-move identity when SOME unit multiples of the
@@ -16,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .balance import BalancedClass, Ring, _require_integral
-from .laurent import LaurentPoly, T_HALF_DIFF, T_MINUS_ONE
+from .laurent import LaurentPoly, T_HALF_DIFF, T_MINUS_ONE, ZERO
 
 
 @dataclass(frozen=True)
@@ -38,8 +40,9 @@ class RepresentativeWitness:
 
 
 def _verdict(lhs: LaurentPoly, rhs: LaurentPoly) -> SkeinVerdict:
-    residual = lhs - rhs
-    return SkeinVerdict(holds=not residual, lhs=lhs, rhs=rhs, residual=residual)
+    if lhs == rhs:
+        return SkeinVerdict(holds=True, lhs=lhs, rhs=rhs, residual=ZERO)
+    return SkeinVerdict(holds=False, lhs=lhs, rhs=rhs, residual=lhs - rhs)
 
 
 def check_pass_move(
@@ -111,9 +114,11 @@ def _relative_witnesses(
         plus, minus = rp * sp, rm * sm
         diff = plus - minus  # d = 0
         if diff:
-            s0 = 1 if diff.terms[diff.max_halfexp] > 0 else -1
-            if diff == u.shift(diff.min_halfexp) * s0:
-                found.append((sp, sm, s0, 0, diff.min_halfexp >> 1))
+            terms = diff._terms
+            low = min(terms)
+            s0 = 1 if terms[max(terms)] > 0 else -1
+            if diff == u.shift(low) * s0:
+                found.append((sp, sm, s0, 0, low >> 1))
         for s0 in (1, -1):
             # d > 0 with e = 0, then d < 0 with e = d.
             for sign, lhs, rhs in ((1, minus + u * s0, plus), (-1, plus - u * s0, minus)):

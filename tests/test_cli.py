@@ -6,13 +6,14 @@ import json
 import pkgutil
 import random
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import alexpoly
-from alexpoly import LaurentPoly, Ring, SeifertPair, canonicalize, check_pass_move
+from alexpoly import LaurentPoly, Ring, SeifertPair, T, canonicalize, check_pass_move
 from alexpoly.cli import main
 from alexpoly.documents import MAX_HALF_EXPONENT, MAX_MATRIX_DIM, MAX_MATRIX_ENTRY
 from conftest import move_triple, random_int_matrix
@@ -294,6 +295,30 @@ def test_find_reps_at_exponent_cap(tmp_path, capsys):
         "found: true (window 149999)\n"
         "plus: multiply by +t^1\nminus: multiply by +t^0\nzero: multiply by +t^0\n"
     )
+
+
+def test_find_reps_dense_at_exponent_cap(tmp_path, capsys):
+    # dm and d0 have 50,000 random terms on t^0..t^49999, and dp = dm +
+    # (t - 1)*d0 ends at t^50000.  dm and d0 share their constant term, so
+    # dp starts at t^1; d0 leads negative and dm positive, so the
+    # representatives are -dp/t, dm and -d0, and +t^1, -t^0, +t^0 fit.
+    rng = random.Random(20261019)
+    size = MAX_HALF_EXPONENT // 2
+    dm, d0 = ({2 * i: rng.choice((-1, 1)) * rng.randint(1, 9) for i in range(size)}
+              for _ in "md")
+    dm[0], d0[2 * size - 2], dm[2 * size - 2] = d0[0], -9, 9
+    dp = LaurentPoly(dm) + (T - 1) * LaurentPoly(d0)
+    assert dp.min_halfexp == 2 and dp.max_halfexp == MAX_HALF_EXPONENT
+    doc = _pass_doc(*({str(k): c for k, c in f.items()} for f in (dp.terms, dm, d0)))
+    path = write(tmp_path, "t.json", doc)
+    start = time.perf_counter()
+    assert main(["find-reps", path]) == 0
+    elapsed = time.perf_counter() - start
+    assert capsys.readouterr().out == (
+        "found: true (window 149998)\n"
+        "plus: multiply by +t^1\nminus: multiply by -t^0\nzero: multiply by +t^0\n"
+    )
+    assert elapsed < 5.0, f"{elapsed:.2f} s for a dense {size}-term triple"
 
 
 def test_find_reps_rejects_twist(tmp_path, capsys):

@@ -291,6 +291,26 @@ def test_exact_div_scales_linearly():
     assert elapsed < 5.0, f"{elapsed:.2f} s for three {size}-term divisions"
 
 
+def test_is_integral_matches_all_keys_even_randomized():
+    rng = random.Random(SEED + 8)
+    cases = [ZERO]
+    for _ in range(CASES):
+        bits = rng.choice((4, 20, 64, 65, 200))
+        keys = {rng.randint(-(2**bits), 2**bits) for _ in range(rng.randint(1, 8))}
+        if rng.random() < 0.5:
+            keys = {2 * k for k in keys}
+        cases.append(LaurentPoly(dict.fromkeys(keys, 1)))
+    for odd in (-1, -(2**64) - 1, 2**64 + 1, -(2**300) + 1, 7):
+        evens = dict.fromkeys(range(-10_000, 10_000, 2), 1)
+        cases += [LaurentPoly({**evens, odd: 1}), LaurentPoly(evens), LaurentPoly({odd: -2})]
+    seen = Counter()
+    for f in cases:
+        expected = all(k % 2 == 0 for k in f.terms)
+        assert f.is_integral() is expected, sorted(f.terms)[:8]
+        seen[expected, any(k < 0 for k in f.terms), any(abs(k) > 2**64 for k in f.terms)] += 1
+    assert len(seen) == 8 and min(seen.values()) >= 10, seen
+
+
 def _quotient_or_error(divide, f: LaurentPoly, g: LaurentPoly):
     try:
         return divide(f, g)

@@ -24,6 +24,7 @@ from alexpoly import (
     search_window,
 )
 from alexpoly import skein
+from alexpoly.laurent import T_HALF_DIFF, T_MINUS_ONE
 from alexpoly.seifert import pencil_det
 from conftest import (
     find_representatives_lookup_oracle,
@@ -123,6 +124,61 @@ def test_pass_move_evaluation_consistency_randomized():
         verdict = check_pass_move(dp, dm, d0)
         assert verdict.holds
         assert (dp - dm).exact_div(T - 1).eval_at_one() == d0.eval_at_one()
+
+
+def _verdict_case(rng, kind, factor):
+    """(dp, dm, d0) of one kind with dp - dm = factor*d0, then broken by
+    one term half the time; half triples leave the integer grid."""
+    half = kind == "half"
+    if kind == "dense":
+        dm, d0 = (
+            LaurentPoly({2 * i: rng.choice((-1, 1)) * rng.randint(1, 9)
+                         for i in range(-100, rng.randint(100, 500))})
+            for _ in "md"
+        )
+    else:
+        dm, d0 = (random_poly(rng, integral=not half) for _ in "md")
+    dp = dm + factor * d0
+    if kind == "zero slot":
+        slot = rng.randrange(3)
+        if slot == 0:
+            dp, dm = ZERO, -(factor * d0)
+        elif slot == 1:
+            dp, dm = factor * d0, ZERO
+        else:
+            dp, d0 = dm, ZERO
+    elif kind == "cancel":  # dp - dm is zero; factor*d0 is zero or not
+        dp, d0 = dm, rng.choice((ZERO, d0))
+    if rng.random() < 0.5:
+        k = rng.randint(-12, 12) * (1 if half else 2)
+        dp = dp + LaurentPoly({k: rng.choice((-1, 1)) * rng.randint(1, 3)})
+    return dp, dm, d0
+
+
+def test_verdicts_match_residual_definition_randomized():
+    # A verdict holds exactly when the residual lhs - rhs is zero, and it
+    # carries lhs = dp - dm, rhs = factor*d0 and that residual, whether or
+    # not the check compares the two sides before subtracting.
+    rng = random.Random(SEED + 9)
+    moves = ((check_pass_move, T_MINUS_ONE), (check_twist_move, T_HALF_DIFF))
+    cases = [(kind, move) for kind in ("sparse", "dense", "zero slot", "cancel")
+             for move in moves] + [("half", moves[1])]
+    seen = collections.Counter()
+    for i in range(1800):
+        kind, (check, factor) = cases[i % len(cases)]
+        dp, dm, d0 = _verdict_case(rng, kind, factor)
+        lhs, rhs = dp - dm, factor * d0
+        residual = lhs - rhs
+        verdict = check(dp, dm, d0)
+        assert (verdict.holds, verdict.lhs, verdict.rhs, verdict.residual) == (
+            not residual, lhs, rhs, residual
+        ), (kind, check.__name__, str(dp), str(dm), str(d0))
+        seen[kind, check.__name__, verdict.holds] += 1
+        seen["both sides zero", verdict.holds] += not lhs and not rhs
+    for kind, (check, _) in cases:
+        for holds in (True, False):
+            assert seen[kind, check.__name__, holds] >= 20, seen
+    assert seen["both sides zero", True] >= 20, seen
 
 
 def test_found_witnesses_always_verify_randomized():
