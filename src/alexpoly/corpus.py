@@ -177,9 +177,10 @@ def _check_twinkle(entry: CorpusEntry) -> list[str]:
 # -- the bundled data ---------------------------------------------------------
 
 
-def _pair1(s: int, n: int, p: int = 1, dim: int = 2) -> SeifertPair:
-    return SeifertPair([[s]], [[n]], p, dim)
-
+_MISSISSIPPI = tuple(
+    (label, SeifertPair([[s]], [[s]], 1, 2))
+    for label, s in (("plus", 4), ("minus", 3), ("plus2", 2), ("minus2", 1))
+)
 
 _V_PLUS = SeifertPair([[0, -1], [0, -1]], [[0, 0], [-1, -1]], 1, 1)
 _V_MINUS = SeifertPair([[-1, -1], [0, -1]], [[-1, 0], [-1, -1]], 1, 1)
@@ -207,23 +208,13 @@ CORPUS: tuple[CorpusEntry, ...] = (
         name="mississippi-classes",
         description="1x1 pairs (4),(3),(2),(1): distinct integer classes, one rational class",
         check=_check_mississippi_classes,
-        pairs=(
-            ("plus", _pair1(4, 4)),
-            ("minus", _pair1(3, 3)),
-            ("plus2", _pair1(2, 2)),
-            ("minus2", _pair1(1, 1)),
-        ),
+        pairs=_MISSISSIPPI,
     ),
     CorpusEntry(
         name="mississippi-triples",
         description="pass-move identities (4(t-1), 3(t-1), 1) and (2(t-1), t-1, 1)",
         check=_check_mississippi_triples,
-        pairs=(
-            ("plus", _pair1(4, 4)),
-            ("minus", _pair1(3, 3)),
-            ("plus2", _pair1(2, 2)),
-            ("minus2", _pair1(1, 1)),
-        ),
+        pairs=_MISSISSIPPI,
         polys=(("zero", ONE),),
     ),
     CorpusEntry(

@@ -30,7 +30,7 @@ from typing import Mapping
 from .balance import BalancedClass, Ring, _require_integral
 from .errors import NotDivisible, PreconditionViolated, ShapeMismatch
 from .laurent import LaurentPoly, T_HALF_DIFF, T_MINUS_ONE, ZERO
-from .seifert import SeifertPair, _corank_one_kernel, intersection_form, pencil_det
+from .seifert import SeifertPair, _corank_one_kernel, intersection_form, pencil_det, transpose
 
 
 @dataclass(frozen=True)
@@ -64,6 +64,9 @@ class ArfData:
         object.__setattr__(self, "nu", nu)
         object.__setattr__(self, "a", tuple(a))
         object.__setattr__(self, "b", tuple(b))
+        for v in self.a + self.b:
+            if type(v) is not int:
+                raise TypeError(f"pairings must be ints, got {v!r}")
         if nu < 1:
             raise ValueError("nu must be positive")
         if len(self.a) != nu or len(self.b) != nu:
@@ -167,7 +170,7 @@ def _distinguished_cycles(pair: SeifertPair) -> tuple[list[int], list[int]]:
     is the same in every basis; in the block shapes x = y = e_1.
     """
     form = intersection_form(pair)
-    right, left = _corank_one_kernel(form), _corank_one_kernel(tuple(zip(*form)))
+    right, left = _corank_one_kernel(form), _corank_one_kernel(transpose(form))
     if right is None or right[2] != abs(left[0][right[1]]):
         raise PreconditionViolated("Smith form of S - N is not diag(1, ..., 1, 0)")
     return left[0], right[0]

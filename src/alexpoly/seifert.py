@@ -2,9 +2,10 @@
 
 A Seifert pair holds the positive and negative Seifert matrices S and N
 of a link (entries are linking numbers of basis cycles with push-offs),
-plus the cycle degree p and the submanifold dimension n.  From a pair the
-Alexander matrix t*S - N and the normalized matrix t^(1/2)*S - t^(-1/2)*N
-are built, whose exact determinants carry the invariants.
+plus the cycle degree p and the submanifold dimension n.  Every matrix
+built from a pair is one pencil x*S - y*N (``_pencil``): the Alexander
+matrix t*S - N, the normalized matrix t^(1/2)*S - t^(-1/2)*N and the
+intersection form S - N, whose exact determinants carry the invariants.
 
 Matrices are immutable tuples of tuples.  One fraction-free Bareiss
 elimination (``_bareiss``) serves every determinant and kernel, and none
@@ -12,7 +13,7 @@ of them uses rationals: its entries are ints or Laurent polynomials, and
 each of its divisions is exact in either ring.
 
 - ``int_det`` runs it on an integer matrix, ``det`` on a matrix of
-  Laurent polynomials;
+  Laurent polynomials, both through one body (``_det``);
 - ``pencil_det`` takes det(t*S - N) of size m from two integer
   determinants of x*S - N, at x = 2^b and x = -2^b with b from a Hadamard
   bound on the coefficients, and unpacks the coefficients from the two
@@ -65,8 +66,8 @@ def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     )
 
 
-def _bareiss(a: list[list]) -> tuple[list[int], list[int], int]:
-    """Fraction-free Bareiss elimination of fresh square list rows, in place.
+def _bareiss(rows: Sequence[Sequence]) -> tuple[list[list], list[int], list[int], int]:
+    """Fraction-free Bareiss elimination of a list copy of square rows.
 
     The entries are ints or LaurentPolys: each division by the previous
     pivot is exact (``//``) in either ring.  Column by column, the entry in
@@ -76,10 +77,11 @@ def _bareiss(a: list[list]) -> tuple[list[int], list[int], int]:
     below the pivot are updated right of the pivot column only; what they
     hold in it and to its left is stale, and no caller reads it.
 
-    Returns the pivot columns, the original index of each row and the sign
-    of that row permutation.  With n pivots the determinant is the sign
-    times a[n-1][n-1]; with fewer it is zero.
+    Returns the eliminated rows, the pivot columns, the original index of
+    each row and the sign of that row permutation.  With n pivots the
+    determinant is the sign times a[n-1][n-1]; with fewer it is zero.
     """
+    a = [list(row) for row in rows]
     n = len(a)
     pivots, order, sign, prev = [], list(range(n)), 1, 1
     for col in range(n):
@@ -99,7 +101,18 @@ def _bareiss(a: list[list]) -> tuple[list[int], list[int], int]:
             ]
         pivots.append(col)
         prev = pivot
-    return pivots, order, sign
+    return a, pivots, order, sign
+
+
+def _det(rows: Sequence[Sequence], one, zero):
+    """Exact determinant of square rows over the ring of one and zero."""
+    n = len(rows)
+    if any(len(r) != n for r in rows):
+        raise NotSquare(f"{n}x{len(rows[0])} matrix has no determinant")
+    if n == 0:
+        return one
+    a, pivots, _, sign = _bareiss(rows)
+    return sign * a[-1][-1] if len(pivots) == n else zero
 
 
 def _corank_one_kernel(m: IntMatrix) -> tuple[list[int], int, int] | None:
@@ -115,8 +128,7 @@ def _corank_one_kernel(m: IntMatrix) -> tuple[list[int], int, int] | None:
     n = len(m)
     if any(len(r) != n for r in m):
         return None
-    a = [list(r) for r in m]
-    pivots, order, _ = _bareiss(a)
+    a, pivots, order, _ = _bareiss(m)
     if len(pivots) != n - 1:
         return None
     last = a[n - 2][pivots[-1]] if pivots else 1
@@ -129,14 +141,7 @@ def _corank_one_kernel(m: IntMatrix) -> tuple[list[int], int, int] | None:
 
 def int_det(m: IntMatrix) -> int:
     """Exact integer determinant (fraction-free Bareiss)."""
-    n = len(m)
-    if any(len(r) != n for r in m):
-        raise NotSquare(f"{n}x{len(m[0])} matrix has no determinant")
-    if n == 0:
-        return 1
-    a = [list(row) for row in m]
-    pivots, _, sign = _bareiss(a)
-    return sign * a[-1][-1] if len(pivots) == n else 0
+    return _det(m, 1, 0)
 
 
 # -- core data types ----------------------------------------------------------
@@ -160,6 +165,8 @@ class SeifertPair:
         object.__setattr__(self, "N", as_int_matrix(N))
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "n", n)
+        if type(p) is not int or type(n) is not int:
+            raise TypeError(f"p and n must be ints, got p={p!r}, n={n!r}")
         if self.shape != (len(self.N), len(self.N[0]) if self.N else 0):
             raise ShapeMismatch("S and N must have identical shape")
         if n < 1 or not 0 <= p <= n + 1:
@@ -178,6 +185,10 @@ class AlexanderMatrix:
 
     def __init__(self, entries: Iterable[Iterable[LaurentPoly]]):
         rows = tuple(tuple(row) for row in entries)
+        for row in rows:
+            for v in row:
+                if not isinstance(v, LaurentPoly):
+                    raise TypeError(f"Alexander matrix entries must be LaurentPolys, got {v!r}")
         if rows and any(len(r) != len(rows[0]) for r in rows):
             raise ShapeMismatch("rows have unequal lengths")
         object.__setattr__(self, "entries", rows)
@@ -198,39 +209,31 @@ class UnimodularPair:
         object.__setattr__(self, "P", as_int_matrix(P))
         object.__setattr__(self, "Q", as_int_matrix(Q))
         for name, m in (("P", self.P), ("Q", self.Q)):
-            if abs(int_det(m)) != 1:
-                raise NotUnimodular(f"{name} has determinant {int_det(m)}")
+            if abs(d := int_det(m)) != 1:
+                raise NotUnimodular(f"{name} has determinant {d}")
 
 
 # -- matrix constructions -----------------------------------------------------
 
 
+def _pencil(pair: SeifertPair, x, y) -> list[list]:
+    """The rows of x*S - y*N as lists, for ints or LaurentPolys x and y."""
+    return [[x * s - y * n for s, n in zip(srow, nrow)] for srow, nrow in zip(pair.S, pair.N)]
+
+
 def alexander_matrix(pair: SeifertPair) -> AlexanderMatrix:
     """The matrix t*S - N."""
-    return AlexanderMatrix(
-        tuple(
-            tuple(T * s - LaurentPoly.constant(n) for s, n in zip(srow, nrow))
-            for srow, nrow in zip(pair.S, pair.N)
-        )
-    )
+    return AlexanderMatrix(_pencil(pair, T, ONE))
 
 
 def normalized_matrix(pair: SeifertPair) -> AlexanderMatrix:
     """The matrix t^(1/2)*S - t^(-1/2)*N."""
-    t_neg_half = LaurentPoly.half_power(-1)
-    return AlexanderMatrix(
-        tuple(
-            tuple(T_HALF * s - t_neg_half * n for s, n in zip(srow, nrow))
-            for srow, nrow in zip(pair.S, pair.N)
-        )
-    )
+    return AlexanderMatrix(_pencil(pair, T_HALF, LaurentPoly.half_power(-1)))
 
 
 def intersection_form(pair: SeifertPair) -> IntMatrix:
     """S - N, the matrix of the homological intersection pairing."""
-    return tuple(
-        tuple(s - n for s, n in zip(srow, nrow)) for srow, nrow in zip(pair.S, pair.N)
-    )
+    return tuple(map(tuple, _pencil(pair, 1, 1)))
 
 
 # -- determinants -------------------------------------------------------------
@@ -238,14 +241,7 @@ def intersection_form(pair: SeifertPair) -> IntMatrix:
 
 def det(m: AlexanderMatrix) -> LaurentPoly:
     """Exact determinant over the Laurent ring (empty matrix: 1)."""
-    rows, cols = m.shape
-    if rows != cols:
-        raise NotSquare(f"{rows}x{cols} matrix has no determinant")
-    if rows == 0:
-        return ONE
-    a = [list(row) for row in m.entries]
-    pivots, _, sign = _bareiss(a)
-    return sign * a[-1][-1] if len(pivots) == rows else ZERO
+    return _det(m.entries, ONE, ZERO)
 
 
 def _balanced_digits(value: int, width: int) -> list[int]:
@@ -285,19 +281,15 @@ def pencil_det(pair: SeifertPair) -> LaurentPoly:
     rows, cols = pair.shape
     if rows != cols:
         raise NotSquare(f"{rows}x{cols} matrix has no determinant")
-    pencil = tuple(zip(pair.S, pair.N))
     h2 = 1
-    for srow, nrow in pencil:
+    for srow, nrow in zip(pair.S, pair.N):
         h2 *= sum(s * s + v * v for s, v in zip(srow, nrow)) + 2 * abs(
             sum(s * v for s, v in zip(srow, nrow))
         )
     if not h2:
         return ZERO
     b = (h2.bit_length() + 5) // 4
-    at_plus, at_minus = (
-        int_det([[x * s - v for s, v in zip(srow, nrow)] for srow, nrow in pencil])
-        for x in (1 << b, -(1 << b))
-    )
+    at_plus, at_minus = (int_det(_pencil(pair, x, 1)) for x in (1 << b, -(1 << b)))
     even, odd = (at_plus + at_minus) >> 1, (at_plus - at_minus) >> (b + 1)
     terms = {}
     for parity, packed in ((0, even), (1, odd)):

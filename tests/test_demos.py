@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from alexpoly import documents
 from alexpoly.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -56,6 +57,17 @@ def test_readme_library_tour_prints_its_comments():
     with contextlib.redirect_stdout(out):
         exec(compile(block, "README.md", "exec"), {})
     assert out.getvalue().splitlines() == expected
+
+
+def test_readme_limits_are_the_document_caps():
+    """Each input limit README states is the constant the loader enforces."""
+    readme = " ".join((ROOT / "README.md").read_text(encoding="utf-8").split())
+    for stated, name in [
+        (f"`|k| <= {documents.MAX_HALF_EXPONENT}`", "MAX_HALF_EXPONENT"),
+        (f"at most {documents.MAX_MATRIX_DIM} rows and columns", "MAX_MATRIX_DIM"),
+        (f"`|e| <= {documents.MAX_MATRIX_ENTRY}`", "MAX_MATRIX_ENTRY"),
+    ]:
+        assert f"{stated} (`alexpoly.documents.{name}`)" in readme
 
 
 def test_readme_shell_transcript(tmp_path, monkeypatch):

@@ -4,6 +4,7 @@ import pytest
 
 from alexpoly import (
     AlexanderMatrix,
+    ArfData,
     LaurentPoly,
     NormalizedInput,
     NotSquare,
@@ -69,6 +70,24 @@ class TestSeifertPair:
     def test_rejects_floats(self):
         with pytest.raises(TypeError):
             SeifertPair([[1.5]], [[1]], 1, 2)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda: AlexanderMatrix([[0.5, ONE], [ONE, 3 * ONE]]), id="alexander-float"),
+        pytest.param(lambda: AlexanderMatrix([[1, 2], [3, 4]]), id="alexander-int"),
+        pytest.param(lambda: stabilize(AlexanderMatrix([[T]]), 1, [2.5]), id="stabilize-float"),
+        pytest.param(lambda: SeifertPair([[1]], [[1]], 0.25, 2), id="pair-float-p"),
+        pytest.param(lambda: SeifertPair([[1]], [[1]], True, 2), id="pair-bool-p"),
+        pytest.param(lambda: SeifertPair([[1]], [[1]], 1, 2.0), id="pair-float-n"),
+        pytest.param(lambda: ArfData(1, [0.5], [1]), id="arf-float"),
+        pytest.param(lambda: ArfData(1, [1], [True]), id="arf-bool"),
+    ],
+)
+def test_constructors_reject_inexact_values(build):
+    with pytest.raises(TypeError):
+        build()
 
 
 class TestAlexanderMatrix:
@@ -282,6 +301,37 @@ def test_int_det_matches_oracle_randomized():
         n = rng.randint(0, 5)
         for m in _with_elimination_edits(edits, random_int_matrix(rng, n, n), 0):
             assert int_det(m) == perm_det_int_oracle(m)
+            constants = tuple(tuple(LaurentPoly.constant(v) for v in row) for row in m)
+            assert det(AlexanderMatrix(constants)) == int_det(m)
+
+
+def test_pencil_builders_match_entrywise_definitions_randomized():
+    """Square, rectangular and empty pairs: every builder of x*S - y*N
+    equals its entrywise formula, and only a square pair has pencil_det."""
+    rng = random.Random(SEED + 14)
+    shapes = set()
+    for _ in range(200):
+        m, k = rng.randint(0, 5), rng.randint(0, 5)
+        pair = SeifertPair(random_int_matrix(rng, m, k), random_int_matrix(rng, m, k), 1, 2)
+        rows, cols = pair.shape
+        assert (rows, cols) == (m, k if m else 0)
+        shapes.add((rows, cols))
+        cells = [list(zip(srow, nrow)) for srow, nrow in zip(pair.S, pair.N)]
+        assert intersection_form(pair) == tuple(
+            tuple(s - n for s, n in row) for row in cells
+        )
+        assert alexander_matrix(pair).entries == tuple(
+            tuple(T * s - n for s, n in row) for row in cells
+        )
+        assert normalized_matrix(pair).entries == tuple(
+            tuple(T_HALF * s - T_HALF_INV * n for s, n in row) for row in cells
+        )
+        if rows == cols:
+            assert pencil_det(pair) == det(alexander_matrix(pair))
+        else:
+            with pytest.raises(NotSquare):
+                pencil_det(pair)
+    assert {(0, 0), (1, 0), (2, 3), (3, 2), (5, 5)} <= shapes
 
 
 def test_det_matches_permutation_oracle_all_sizes():
