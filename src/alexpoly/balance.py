@@ -46,30 +46,43 @@ def q_balanced_eq(f: LaurentPoly, g: LaurentPoly) -> bool:
 def canonicalize(f: LaurentPoly, ring: Ring) -> LaurentPoly:
     """Canonical representative of the balanced class of f.
 
-    For Z: shift so the minimum exponent is 0 and flip the sign so the
-    leading (highest-degree) coefficient is positive.  For Q: divide
-    additionally by the content.  Zero maps to zero.
+    Shift so the minimum exponent is 0 and divide by the scale: 1 for Z,
+    the content for Q, negated when the leading (highest-degree)
+    coefficient is negative.  A scale of 1 only shifts, and returns f
+    itself when f already starts at t^0.  Zero maps to zero.
     """
+    if not isinstance(ring, Ring):
+        raise TypeError(f"ring must be Ring.Z or Ring.Q, got {ring!r}")
     _require_integral(f)
     if not f:
         return f
     terms = f._terms
     low = min(terms)
-    negative = terms[max(terms)] < 0
-    if ring is Ring.Z:
-        if negative:
-            return _wrap({k - low: -v for k, v in terms.items()})
+    scale = f.content() if ring is Ring.Q else 1
+    if terms[max(terms)] < 0:
+        scale = -scale
+    if scale == 1:
         return f if low == 0 else f.shift(-low)
-    scale = -f.content() if negative else f.content()
     return _wrap({k - low: v // scale for k, v in terms.items()})
 
 
 @dataclass(frozen=True)
 class BalancedClass:
-    """A balanced class, stored via its canonical representative."""
+    """A balanced class, stored via its canonical representative.
+
+    The constructor takes the canonical representative itself; use
+    ``from_poly`` for any other member of the class.
+    """
 
     representative: LaurentPoly
     ring: Ring
+
+    def __post_init__(self):
+        rep = self.representative
+        if not isinstance(rep, LaurentPoly):
+            raise TypeError(f"a representative must be a LaurentPoly, got {rep!r}")
+        if canonicalize(rep, self.ring) != rep:
+            raise ValueError(f"{rep} is not the canonical {self.ring.value} representative")
 
     @classmethod
     def from_poly(cls, f: LaurentPoly, ring: Ring) -> BalancedClass:

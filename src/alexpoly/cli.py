@@ -23,13 +23,7 @@ import sys
 
 from .balance import BalancedClass, Ring, canonicalize, q_balanced_eq, z_balanced_eq
 from .corpus import run_corpus
-from .documents import (
-    Document,
-    Triple,
-    laurent_to_doc,
-    load_document,
-    require_halfexp_cap,
-)
+from .documents import Triple, laurent_from_text, laurent_to_doc, load_document
 from .errors import AlexpolyError, InvalidDocument
 from .invariants import (
     NormalizedInput,
@@ -74,17 +68,8 @@ def _show(args, code: int, *fields: tuple[str, str | None, object]) -> int:
     return code
 
 
-def _load(path: str, kinds: tuple[str, ...]) -> Document:
-    doc = load_document(path)
-    if doc.kind not in kinds:
-        raise InvalidDocument(
-            f"{path}: expected a {' or '.join(kinds)} document, got {doc.kind}"
-        )
-    return doc
-
-
 def _cmd_alex(args) -> int:
-    result = report(_load(args.file, ("seifert_pair",)).value)
+    result = report(load_document(args.file, ("seifert_pair",)))
     return _show(
         args,
         EXIT_OK,
@@ -95,13 +80,13 @@ def _cmd_alex(args) -> int:
 
 
 def _cmd_norm(args) -> int:
-    pair = _load(args.file, ("seifert_pair",)).value
+    pair = load_document(args.file, ("seifert_pair",))
     data = NormalizedInput(pair, middle_condition=args.middle_injective == "true")
     return _show(args, EXIT_OK, ("normalized", "normalized", normalized_alexander(data)))
 
 
 def _cmd_skein(args) -> int:
-    triple: Triple = _load(args.file, ("triple",)).value
+    triple: Triple = load_document(args.file, ("triple",))
     check = check_pass_move if triple.move == "pass" else check_twist_move
     verdict = check(triple.plus, triple.minus, triple.zero)
     return _show(
@@ -116,34 +101,26 @@ def _cmd_skein(args) -> int:
 
 
 def _cmd_alink(args) -> int:
-    doc = _load(args.file, ("laurent", "seifert_pair"))
-    if doc.kind == "laurent":
-        value = pseudo_alinking_from_poly(doc.value)
+    source = load_document(args.file, ("laurent", "seifert_pair"))
+    if isinstance(source, LaurentPoly):
+        value = pseudo_alinking_from_poly(source)
     else:
-        value = pseudo_alinking_from_pair(doc.value)
+        value = pseudo_alinking_from_pair(source)
     return _show(args, EXIT_OK, ("pseudo_alinking", "pseudo-alinking", value))
 
 
 def _cmd_twinkle(args) -> int:
-    value = pseudo_twinkling_from_pair(_load(args.file, ("seifert_pair",)).value)
+    value = pseudo_twinkling_from_pair(load_document(args.file, ("seifert_pair",)))
     return _show(args, EXIT_OK, ("pseudo_twinkling", "pseudo-twinkling", value))
 
 
 def _cmd_arf(args) -> int:
-    return _show(args, EXIT_OK, ("arf", "arf", arf(_load(args.file, ("arf",)).value)))
-
-
-def _parse_poly(text: str) -> LaurentPoly:
-    f = LaurentPoly.parse(text)
-    if f:
-        require_halfexp_cap(f.min_halfexp)
-        require_halfexp_cap(f.max_halfexp)
-    return f
+    return _show(args, EXIT_OK, ("arf", "arf", arf(load_document(args.file, ("arf",)))))
 
 
 def _cmd_balanced_eq(args) -> int:
     ring = Ring[args.ring]
-    f, g = _parse_poly(args.f), _parse_poly(args.g)
+    f, g = laurent_from_text(args.f), laurent_from_text(args.g)
     equal = (z_balanced_eq if ring is Ring.Z else q_balanced_eq)(f, g)
     return _show(
         args,
@@ -154,12 +131,12 @@ def _cmd_balanced_eq(args) -> int:
 
 
 def _cmd_canon(args) -> int:
-    value = canonicalize(_parse_poly(args.f), Ring[args.ring])
+    value = canonicalize(laurent_from_text(args.f), Ring[args.ring])
     return _show(args, EXIT_OK, ("canonical", "canonical", value))
 
 
 def _cmd_find_reps(args) -> int:
-    triple: Triple = _load(args.file, ("triple",)).value
+    triple: Triple = load_document(args.file, ("triple",))
     if triple.move != "pass":
         raise InvalidDocument("find-reps needs a pass-move triple")
     classes = [

@@ -1,6 +1,9 @@
-"""JSON document format shared by the command-line tools.
+"""Outside input: the JSON documents and polynomial texts the tools read.
 
-Four document kinds exist:
+This module alone turns outside input into values: ``load_document``
+reads a file of one of the kinds a command accepts, and
+``laurent_from_text`` reads a polynomial in the text grammar.  Four
+document kinds exist:
 
     {"kind": "seifert_pair", "p": int, "n": int, "S": [[int]], "N": [[int]]}
     {"kind": "laurent", "terms": {"<half-exponent k>": int}}
@@ -17,8 +20,9 @@ repeats a key.  Nesting too deep to decode is an invalid document.
 Three size limits bound the work any document can ask for: every
 half-exponent k satisfies |k| <= MAX_HALF_EXPONENT, S and N have at most
 MAX_MATRIX_DIM rows and columns, and their entries e satisfy
-|e| <= MAX_MATRIX_ENTRY.  They apply here, where input comes in, and not
-to the arithmetic itself.
+|e| <= MAX_MATRIX_ENTRY.  The half-exponent cap also bounds polynomial
+texts.  The limits apply here, where input comes in, and not to the
+arithmetic itself.
 """
 from __future__ import annotations
 
@@ -44,12 +48,6 @@ MAX_MATRIX_DIM = 64
 # The bits grow with the entries: with every entry +-15, n = 64 takes
 # 18.7-20.6 s on a VM where the [-3, 3] case takes 8.6-9.8 s: about twice.
 MAX_MATRIX_ENTRY = 15
-_KEYS = {
-    "seifert_pair": ("kind", "p", "n", "S", "N"),
-    "laurent": ("kind", "terms"),
-    "triple": ("kind", "move", "plus", "minus", "zero"),
-    "arf": ("kind", "a", "b"),
-}
 
 
 @dataclass(frozen=True)
@@ -60,28 +58,23 @@ class Triple:
     move: str
 
 
-@dataclass(frozen=True)
-class Document:
-    kind: str
-    value: SeifertPair | LaurentPoly | Triple | ArfData
-
-
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise InvalidDocument(message)
 
 
 def _require_kind(obj: Any, kind: str) -> None:
-    """obj is a document of the given kind with exactly the keys in _KEYS."""
+    """obj is a document of the given kind with exactly its keys in _KINDS."""
     _require(isinstance(obj, dict), f"{kind} document must be an object")
     _require(obj.get("kind") == kind, f"expected a document of kind {kind!r}")
-    for key in _KEYS[kind]:
+    keys = _KINDS[kind][0]
+    for key in keys:
         _require(key in obj, f"{kind} document needs {key!r}")
     for key in obj:
-        _require(key in _KEYS[kind], f"{kind} document has an unknown key {key!r}")
+        _require(key in keys, f"{kind} document has an unknown key {key!r}")
 
 
-def require_halfexp_cap(halfexp: int) -> None:
+def _require_halfexp_cap(halfexp: int) -> None:
     """Raise InvalidDocument when |halfexp| exceeds MAX_HALF_EXPONENT."""
     _require(
         abs(halfexp) <= MAX_HALF_EXPONENT,
@@ -100,10 +93,23 @@ def laurent_from_doc(obj: Any) -> LaurentPoly:
         except (TypeError, ValueError):
             raise InvalidDocument(f"bad half-exponent key {key!r}") from None
         _require(key == str(halfexp), f"bad half-exponent key {key!r}")
-        require_halfexp_cap(halfexp)
+        _require_halfexp_cap(halfexp)
         _require(type(coeff) is int, f"coefficient for key {key!r} must be an integer")
         out[halfexp] = coeff
     return LaurentPoly(out)
+
+
+def laurent_from_text(text: str) -> LaurentPoly:
+    """Parse a polynomial in the text grammar of ``LaurentPoly.parse``.
+
+    The half-exponent cap applies as it does to a laurent document; a text
+    the grammar rejects raises the parser's ValueError.
+    """
+    f = LaurentPoly.parse(text)
+    if f:
+        _require_halfexp_cap(f.min_halfexp)
+        _require_halfexp_cap(f.max_halfexp)
+    return f
 
 
 def laurent_to_doc(f: LaurentPoly) -> dict:
@@ -162,19 +168,21 @@ def arf_from_doc(obj: Any) -> ArfData:
         raise InvalidDocument(f"bad arf document: {exc}") from None
 
 
-_PARSERS = {
-    "seifert_pair": seifert_pair_from_doc,
-    "laurent": laurent_from_doc,
-    "triple": triple_from_doc,
-    "arf": arf_from_doc,
+# Each kind's keys, and the parser that turns such a document into a value.
+_KINDS = {
+    "seifert_pair": (("kind", "p", "n", "S", "N"), seifert_pair_from_doc),
+    "laurent": (("kind", "terms"), laurent_from_doc),
+    "triple": (("kind", "move", "plus", "minus", "zero"), triple_from_doc),
+    "arf": (("kind", "a", "b"), arf_from_doc),
 }
 
 
-def parse_document(obj: Any) -> Document:
+def parse_document(obj: Any) -> SeifertPair | LaurentPoly | Triple | ArfData:
+    """The value a decoded document of any kind stands for."""
     _require(isinstance(obj, dict), "document must be a JSON object")
     kind = obj.get("kind")
-    _require(kind in _PARSERS, f"unknown document kind {kind!r}")
-    return Document(kind, _PARSERS[kind](obj))
+    _require(kind in _KINDS, f"unknown document kind {kind!r}")
+    return _KINDS[kind][1](obj)
 
 
 def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
@@ -184,10 +192,20 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
     return obj
 
 
-def load_document(path: str) -> Document:
+def load_document(
+    path: str, kinds: tuple[str, ...]
+) -> SeifertPair | LaurentPoly | Triple | ArfData:
+    """The value of the document in a file, which must be one of kinds.
+
+    The whole document is parsed first, so a malformed one is reported as
+    such even when its kind is not accepted.
+    """
     try:
         with open(path, encoding="utf-8") as handle:
             obj = json.load(handle, object_pairs_hook=_unique_keys)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise InvalidDocument(f"{path}: {exc}") from None
-    return parse_document(obj)
+    value = parse_document(obj)
+    kind = obj["kind"]
+    _require(kind in kinds, f"{path}: expected a {' or '.join(kinds)} document, got {kind}")
+    return value

@@ -47,6 +47,8 @@ class NormalizedInput:
     middle_condition: bool
 
     def __post_init__(self):
+        if type(self.middle_condition) is not bool:
+            raise TypeError(f"middle_condition must be a bool, got {self.middle_condition!r}")
         n, p = self.pair.n, self.pair.p
         if n % 4 != 1 or 2 * p != n + 1:
             raise ValueError(f"need n = 4k+1 and p = 2k+1, got p={p}, n={n}")

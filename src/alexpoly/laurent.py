@@ -198,6 +198,8 @@ class LaurentPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> LaurentPoly:
+        if not isinstance(n, int):  # a bool counts as its int
+            return NotImplemented
         if n < 0:
             if len(self._terms) == 1:
                 ((k, c),) = self._terms.items()
@@ -211,10 +213,15 @@ class LaurentPoly:
 
     def shift(self, halfexp: int) -> LaurentPoly:
         """Multiply by the monomial t^(halfexp/2)."""
+        if not isinstance(halfexp, int):
+            raise TypeError(f"a shift must be an int, got {halfexp!r}")
         return _wrap({k + halfexp: c for k, c in self._terms.items()})
 
-    def exact_div(self, other: LaurentPoly) -> LaurentPoly:
+    def exact_div(self, other: int | LaurentPoly) -> LaurentPoly:
         """Exact quotient q with self = q * other over the integers.
+
+        An int divisor is a constant; any other non-polynomial divisor
+        raises TypeError.
 
         Ascending-exponent long division.  Each step takes the lowest
         remaining term, which fixes one quotient term, and subtracts that
@@ -231,6 +238,10 @@ class LaurentPoly:
         >>> f.exact_div(LaurentPoly.parse('-1 + 1*t^1'))
         LaurentPoly('-1 + 2*t^1')
         """
+        if isinstance(other, int):
+            other = _wrap({0: int(other)})
+        elif not isinstance(other, LaurentPoly):
+            raise TypeError(f"cannot divide by {type(other).__name__}")
         if not other:
             raise ZeroDivisionError("division by the zero polynomial")
         if not self:
@@ -271,9 +282,7 @@ class LaurentPoly:
         >>> LaurentPoly.parse('2 + -4*t^(1/2)') // 2
         LaurentPoly('1 + -2*t^(1/2)')
         """
-        if isinstance(other, int):
-            other = LaurentPoly.constant(other)
-        if not isinstance(other, LaurentPoly):
+        if not isinstance(other, (int, LaurentPoly)):
             return NotImplemented
         return self.exact_div(other)
 

@@ -320,7 +320,9 @@ def check_duality(pair_a: SeifertPair, pair_b: SeifertPair) -> bool:
 
 
 def check_mars_symmetry(s: IntMatrix, m: int) -> bool:
-    """Whether S = (-1)^m * transpose(S) for a square integer matrix."""
+    """Whether S = (-1)^m * transpose(S) for a square integer matrix and an int m."""
+    if type(m) is not int:
+        raise TypeError(f"m must be an int, got {m!r}")
     s = as_int_matrix(s)
     if s and len(s) != len(s[0]):
         raise NotSquare(f"{len(s)}x{len(s[0])} matrix cannot be compared with its transpose")

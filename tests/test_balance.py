@@ -11,6 +11,7 @@ from alexpoly import (
     T_HALF,
     ZERO,
     canonicalize,
+    find_representatives,
     q_balanced_eq,
     z_balanced_eq,
 )
@@ -86,6 +87,14 @@ class TestBalancedClass:
         c = BalancedClass.from_poly(T - 1, Ring.Q)
         assert c.contains(7 * (T - 1))
         assert not c.contains(T + 1)
+
+    def test_constructor_takes_only_the_canonical_representative(self):
+        for rep, ring in ((T * T, Ring.Z), (-ONE, Ring.Z), (1 - T, Ring.Z), (2 * T - 2, Ring.Q)):
+            with pytest.raises(ValueError, match="not the canonical"):
+                BalancedClass(rep, ring)
+        made = [BalancedClass.from_poly(f, Ring.Z) for f in (T, 2 * T - 1, -ONE)]
+        assert [BalancedClass(c.representative, Ring.Z) for c in made] == made
+        assert find_representatives(*made).shifts == ((1, 1), (1, 0), (-1, 0))
 
 
 def _random_unit_multiple(rng, f):

@@ -492,6 +492,38 @@ COMMANDS = {
 }
 FILE_COMMANDS = sorted({c for cs in COMMANDS.values() for c in cs})
 
+# The exact wrong-kind error: each file command against a valid document of
+# every kind it does not accept.
+ONE_DOC_PER_KIND = {
+    "seifert_pair": PAIR_4, "laurent": LAURENT_DOC, "triple": INTRO_TRIPLE, "arf": ARF_DOC,
+}
+ACCEPTED = {
+    "alex": "seifert_pair",
+    "norm": "seifert_pair",
+    "skein": "triple",
+    "alink": "laurent or seifert_pair",
+    "twinkle": "seifert_pair",
+    "arf": "arf",
+    "find-reps": "triple",
+}
+
+
+@pytest.mark.parametrize(
+    "command, kind",
+    [
+        (command, kind)
+        for command in FILE_COMMANDS
+        for kind in ONE_DOC_PER_KIND
+        if kind not in ACCEPTED[command].split(" or ")
+    ],
+)
+def test_wrong_document_kind_message(tmp_path, capsys, command, kind):
+    path = write(tmp_path, "doc.json", ONE_DOC_PER_KIND[kind])
+    assert main([command, path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: expected a {ACCEPTED[command]} document, got {kind}\n"
+
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
     lambda inner: st.lists(inner, max_size=4)

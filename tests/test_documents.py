@@ -165,8 +165,8 @@ def test_arf_document():
 
 
 def test_parse_document_dispatch():
-    assert parse_document(PAIR_DOC).kind == "seifert_pair"
-    assert parse_document(LAURENT_DOC).kind == "laurent"
+    assert isinstance(parse_document(PAIR_DOC), SeifertPair)
+    assert isinstance(parse_document(LAURENT_DOC), LaurentPoly)
     with pytest.raises(InvalidDocument):
         parse_document({"kind": "mystery"})
     with pytest.raises(InvalidDocument):
@@ -187,19 +187,21 @@ def test_laurent_doc_roundtrip_randomized():
 def test_load_document(tmp_path):
     path = tmp_path / "pair.json"
     path.write_text(json.dumps(PAIR_DOC), encoding="utf-8")
-    doc = load_document(str(path))
-    assert doc.kind == "seifert_pair"
+    assert load_document(str(path), ("seifert_pair",)) == SeifertPair([[4]], [[4]], 1, 2)
+    wrong = f"^{path}: expected a laurent or triple document, got seifert_pair$"
+    with pytest.raises(InvalidDocument, match=wrong):
+        load_document(str(path), ("laurent", "triple"))
     bad = tmp_path / "bad.json"
     bad.write_text("{not json", encoding="utf-8")
     with pytest.raises(InvalidDocument):
-        load_document(str(bad))
+        load_document(str(bad), ("seifert_pair",))
 
 
 def test_load_document_too_deep(tmp_path):
     deep = tmp_path / "deep.json"
     deep.write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
     with pytest.raises(InvalidDocument):
-        load_document(str(deep))
+        load_document(str(deep), ("seifert_pair",))
 
 
 TRIPLE_DOC = {
@@ -236,4 +238,4 @@ def test_load_document_rejects_repeated_keys(tmp_path, text):
     path = tmp_path / "doc.json"
     path.write_text(text, encoding="utf-8")
     with pytest.raises(InvalidDocument, match="duplicate key"):
-        load_document(str(path))
+        load_document(str(path), ("laurent", "triple"))

@@ -24,6 +24,13 @@ T_INV = LaurentPoly.t_power(-1)
 T_HALF_INV = LaurentPoly.half_power(-1)
 
 
+def test_bool_exponents_shifts_and_divisors_count_as_ints():
+    assert T**True == T
+    assert T.shift(True) == T * T_HALF
+    assert (2 * T).exact_div(2) == (2 * T).exact_div(ONE + 1) == T
+    assert (2 * T).exact_div(True) == 2 * T
+
+
 class TestAdd:
     def test_pass_triple_difference(self):
         assert T + (-(2 * T - 1)) == 1 - T

@@ -5,11 +5,13 @@ import pytest
 from alexpoly import (
     AlexanderMatrix,
     ArfData,
+    BalancedClass,
     LaurentPoly,
     NormalizedInput,
     NotSquare,
     NotUnimodular,
     ONE,
+    Ring,
     SeifertPair,
     ShapeMismatch,
     T,
@@ -18,6 +20,7 @@ from alexpoly import (
     ZERO,
     alexander_matrix,
     basis_change,
+    canonicalize,
     check_duality,
     check_mars_symmetry,
     det,
@@ -83,6 +86,18 @@ class TestSeifertPair:
         pytest.param(lambda: SeifertPair([[1]], [[1]], 1, 2.0), id="pair-float-n"),
         pytest.param(lambda: ArfData(1, [0.5], [1]), id="arf-float"),
         pytest.param(lambda: ArfData(1, [1], [True]), id="arf-bool"),
+        pytest.param(lambda: T**0.5, id="pow-half"),
+        pytest.param(lambda: T**1.5, id="pow-float"),
+        pytest.param(lambda: T.shift(1.0), id="shift-float"),
+        pytest.param(lambda: T.exact_div(2.0), id="exact-div-float"),
+        pytest.param(lambda: T.exact_div("2"), id="exact-div-str"),
+        pytest.param(lambda: canonicalize(2 * T - 4, "Z"), id="canonicalize-ring-str"),
+        pytest.param(lambda: BalancedClass("1*t^1", Ring.Z), id="class-str"),
+        pytest.param(lambda: BalancedClass(T, "Z"), id="class-ring-str"),
+        pytest.param(lambda: NormalizedInput(V_ZERO, "false"), id="middle-str"),
+        pytest.param(lambda: NormalizedInput(V_ZERO, 0), id="middle-int"),
+        pytest.param(lambda: check_mars_symmetry([[1]], 0.5), id="mars-float"),
+        pytest.param(lambda: check_mars_symmetry([[1]], True), id="mars-bool"),
     ],
 )
 def test_constructors_reject_inexact_values(build):
