@@ -1,16 +1,17 @@
 """Bundled worked examples with known expected values.
 
 Each entry carries its input data (Seifert pairs and/or polynomials) and
-a check that recomputes the published values from scratch.  run_corpus
-evaluates every entry and reports pass/fail per entry name; the corpus
-is the regression anchor for the whole library, so entries assert the
-strongest relations the data satisfies (duality and intersection shape,
-not just determinant values).
+a check that recomputes the published values from scratch and yields
+one message per failed relation.  run_corpus evaluates every entry and
+reports pass/fail per entry name; the corpus is the regression anchor
+for the whole library, so entries assert the strongest relations the
+data satisfies (duality and intersection shape, not just determinant
+values): the twist entry asks check_duality of each of its pairs.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 from .balance import BalancedClass, Ring, q_balanced_eq, z_balanced_eq
 from .errors import AlexpolyError
@@ -21,7 +22,7 @@ from .invariants import (
     second_order_at_one,
 )
 from .laurent import LaurentPoly, ONE, T, ZERO
-from .seifert import SeifertPair, intersection_form, pencil_det, transpose
+from .seifert import SeifertPair, check_duality, intersection_form, pencil_det
 from .skein import check_pass_move, check_twist_move, find_representatives
 
 
@@ -29,7 +30,7 @@ from .skein import check_pass_move, check_twist_move, find_representatives
 class CorpusEntry:
     name: str
     description: str
-    check: Callable[[CorpusEntry], list[str]]
+    check: Callable[[CorpusEntry], Iterable[str]]
     pairs: tuple[tuple[str, SeifertPair], ...] = ()
     polys: tuple[tuple[str, LaurentPoly], ...] = ()
 
@@ -56,122 +57,85 @@ class CorpusReport:
         return all(r.passed for r in self.results)
 
 
-def _expect(failures: list[str], ok: bool, what: str) -> None:
-    if not ok:
-        failures.append(what)
-
-
 # -- checks -------------------------------------------------------------------
 
 
-def _check_pass_triple(entry: CorpusEntry) -> list[str]:
+def _check_pass_triple(entry: CorpusEntry) -> Iterator[str]:
     verdict = check_pass_move(entry.poly("plus"), entry.poly("minus"), entry.poly("zero"))
-    return [] if verdict.holds else [f"pass-move residual {verdict.residual}"]
+    if not verdict.holds:
+        yield f"pass-move residual {verdict.residual}"
 
 
-def _check_intro_reps(entry: CorpusEntry) -> list[str]:
-    failures: list[str] = []
+def _check_intro_reps(entry: CorpusEntry) -> Iterator[str]:
     classes = [
         BalancedClass.from_poly(entry.poly(label), Ring.Z)
         for label in ("plus", "minus", "zero")
     ]
     witness = find_representatives(*classes)
-    _expect(failures, witness.found, "no representative witness found")
-    if witness.found:
-        shifted = [
-            c.representative.shift(2 * n) * sign
-            for c, (sign, n) in zip(classes, witness.shifts)
-        ]
-        _expect(
-            failures,
-            check_pass_move(*shifted).holds,
-            "witness does not satisfy the identity",
-        )
-    return failures
+    if not witness.found:
+        yield "no representative witness found"
+        return
+    shifted = [
+        c.representative.shift(2 * n) * sign
+        for c, (sign, n) in zip(classes, witness.shifts)
+    ]
+    if not check_pass_move(*shifted).holds:
+        yield "witness does not satisfy the identity"
 
 
-def _check_mississippi_classes(entry: CorpusEntry) -> list[str]:
-    failures: list[str] = []
+def _check_mississippi_classes(entry: CorpusEntry) -> Iterator[str]:
     labels = ("plus", "minus", "plus2", "minus2")
     expected = (4 * T - 4, 3 * T - 3, 2 * T - 2, T - 1)
     dets = []
     for label, want in zip(labels, expected):
         pair = entry.pair(label)
-        _expect(
-            failures,
-            all(v == 0 for row in intersection_form(pair) for v in row),
-            f"{label}: intersection form is nonzero",
-        )
+        if any(v for row in intersection_form(pair) for v in row):
+            yield f"{label}: intersection form is nonzero"
         d = pencil_det(pair)
         dets.append(d)
-        _expect(
-            failures,
-            z_balanced_eq(d, want),
-            f"{label}: integer class is {d}, expected {want}",
-        )
+        if not z_balanced_eq(d, want):
+            yield f"{label}: integer class is {d}, expected {want}"
     for i in range(len(dets)):
         for j in range(i + 1, len(dets)):
-            _expect(
-                failures,
-                not z_balanced_eq(dets[i], dets[j]),
-                f"{labels[i]}/{labels[j]}: unexpectedly Z-balanced",
-            )
-            _expect(
-                failures,
-                q_balanced_eq(dets[i], dets[j]),
-                f"{labels[i]}/{labels[j]}: not Q-balanced",
-            )
-    return failures
+            if z_balanced_eq(dets[i], dets[j]):
+                yield f"{labels[i]}/{labels[j]}: unexpectedly Z-balanced"
+            if not q_balanced_eq(dets[i], dets[j]):
+                yield f"{labels[i]}/{labels[j]}: not Q-balanced"
 
 
-def _check_mississippi_triples(entry: CorpusEntry) -> list[str]:
-    failures: list[str] = []
+def _check_mississippi_triples(entry: CorpusEntry) -> Iterator[str]:
     d0 = entry.poly("zero")
     for plus, minus in (("plus", "minus"), ("plus2", "minus2")):
         dp = pencil_det(entry.pair(plus))
         dm = pencil_det(entry.pair(minus))
         verdict = check_pass_move(dp, dm, d0)
-        _expect(
-            failures,
-            verdict.holds,
-            f"({plus}, {minus}): pass-move residual {verdict.residual}",
-        )
-    return failures
+        if not verdict.holds:
+            yield f"({plus}, {minus}): pass-move residual {verdict.residual}"
 
 
-def _check_twist_triple(entry: CorpusEntry) -> list[str]:
-    failures: list[str] = []
+def _check_twist_triple(entry: CorpusEntry) -> Iterator[str]:
     values = {}
     for label in ("plus", "minus", "zero"):
         pair = entry.pair(label)
-        _expect(
-            failures,
-            pair.N == transpose(pair.S),
-            f"{label}: negative matrix is not the transpose of the positive one",
-        )
+        # p = n = 1 is its own complementary degree, and (-1)^(p*n+1) = +1:
+        # the pair is dual to itself exactly when N is the transpose of S.
+        if not check_duality(pair, pair):
+            yield f"{label}: negative matrix is not the transpose of the positive one"
         values[label] = normalized_alexander(NormalizedInput(pair, middle_condition=True))
         want = entry.poly(f"{label}_expected")
-        _expect(
-            failures,
-            values[label] == want,
-            f"{label}: normalized polynomial {values[label]}, expected {want}",
-        )
+        if values[label] != want:
+            yield f"{label}: normalized polynomial {values[label]}, expected {want}"
     verdict = check_twist_move(values["plus"], values["minus"], values["zero"])
-    _expect(failures, verdict.holds, f"twist-move residual {verdict.residual}")
-    return failures
+    if not verdict.holds:
+        yield f"twist-move residual {verdict.residual}"
 
 
-def _check_twinkle(entry: CorpusEntry) -> list[str]:
-    failures: list[str] = []
+def _check_twinkle(entry: CorpusEntry) -> Iterator[str]:
     diff = entry.poly("plus") - entry.poly("minus")
     from_poly = second_order_at_one(diff)
     from_pair = pseudo_twinkling_from_pair(entry.pair("zero"))
-    _expect(
-        failures,
-        from_poly == from_pair == -1,
-        f"second-order value {from_poly} vs pairing {from_pair}, expected -1",
-    )
-    return failures
+    if not from_poly == from_pair == -1:
+        yield f"second-order value {from_poly} vs pairing {from_pair}, expected -1"
 
 
 # -- the bundled data ---------------------------------------------------------

@@ -12,7 +12,7 @@ import math
 import re
 from functools import reduce
 from heapq import heappop, heappush
-from operator import or_
+from operator import index, or_
 
 from .errors import NotDivisible
 
@@ -47,7 +47,8 @@ class LaurentPoly:
 
     @classmethod
     def constant(cls, c: int) -> LaurentPoly:
-        return cls({0: c})
+        """The constant c; a bool counts as its int."""
+        return cls({0: index(c)})
 
     @classmethod
     def t_power(cls, n: int) -> LaurentPoly:
@@ -56,8 +57,8 @@ class LaurentPoly:
 
     @classmethod
     def half_power(cls, k: int) -> LaurentPoly:
-        """The monomial t^(k/2)."""
-        return cls({k: 1})
+        """The monomial t^(k/2); a bool counts as its int."""
+        return cls({index(k): 1})
 
     @classmethod
     def parse(cls, text: str) -> LaurentPoly:

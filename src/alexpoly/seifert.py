@@ -266,11 +266,13 @@ def pencil_det(pair: SeifertPair) -> LaurentPoly:
     m the matrix size (not pair.n).  For |t| = 1, Hadamard's inequality
     bounds |f(t)|^2 by h2, the product over the rows of |S_i|^2 + |N_i|^2
     + 2*|<S_i, N_i>|, so by Parseval every coefficient has |c_k| <=
-    sqrt(h2).  If h2 = 0, a row of t*S - N is zero and so is f.  Otherwise
-    take b with 2^(4b-2) > h2: every coefficient is then a balanced digit
-    in base 2^(2b).  Two integer Bareiss determinants fix f: at X = 2^b,
-    (f(X) + f(-X))/2 packs the even coefficients and (f(X) - f(-X))/(2X)
-    the odd ones.
+    sqrt(h2).  Take b with 2^(4b-2) > h2: every coefficient is then a
+    balanced digit in base 2^(2b).  Two integer Bareiss determinants fix
+    f: at X = 2^b, (f(X) + f(-X))/2 packs the even coefficients and
+    (f(X) - f(-X))/(2X) the odd ones.  A zero pencil (h2 = 0: a row of
+    t*S - N is zero) needs no branch of its own: b = 1, both determinants
+    are 0, and the digits unpack to ZERO.  A pair that is not square
+    raises NotSquare from int_det.
 
     Cost: two eliminations of m^3/3 steps each, on integers of up to
     about m*b bits, where b is a quarter of the bits of h2 (so b grows
@@ -278,16 +280,11 @@ def pencil_det(pair: SeifertPair) -> LaurentPoly:
     integers; towards the 64 x 64 cap the quadratic division of the big
     integers dominates and it takes a few seconds.
     """
-    rows, cols = pair.shape
-    if rows != cols:
-        raise NotSquare(f"{rows}x{cols} matrix has no determinant")
     h2 = 1
     for srow, nrow in zip(pair.S, pair.N):
         h2 *= sum(s * s + v * v for s, v in zip(srow, nrow)) + 2 * abs(
             sum(s * v for s, v in zip(srow, nrow))
         )
-    if not h2:
-        return ZERO
     b = (h2.bit_length() + 5) // 4
     at_plus, at_minus = (int_det(_pencil(pair, x, 1)) for x in (1 << b, -(1 << b)))
     even, odd = (at_plus + at_minus) >> 1, (at_plus - at_minus) >> (b + 1)

@@ -524,6 +524,18 @@ def test_wrong_document_kind_message(tmp_path, capsys, command, kind):
     assert captured.out == ""
     assert captured.err == f"error: {path}: expected a {ACCEPTED[command]} document, got {kind}\n"
 
+
+@pytest.mark.parametrize("rows, cols", [(2, 3), (3, 2), (1, 0)])
+@pytest.mark.parametrize("command, p, n", [("alex", 1, 1), ("norm", 3, 5)])
+def test_zero_non_square_pair_has_no_determinant(tmp_path, capsys, command, p, n, rows, cols):
+    """An all-zero pencil that is not square is an error, not the zero class."""
+    zero = [[0] * cols for _ in range(rows)]
+    doc = {"kind": "seifert_pair", "p": p, "n": n, "S": zero, "N": zero}
+    assert main([command, write(tmp_path, "pair.json", doc)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: NotSquare: {rows}x{cols} matrix has no determinant\n"
+
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
     lambda inner: st.lists(inner, max_size=4)

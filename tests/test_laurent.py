@@ -29,6 +29,25 @@ def test_bool_exponents_shifts_and_divisors_count_as_ints():
     assert T.shift(True) == T * T_HALF
     assert (2 * T).exact_div(2) == (2 * T).exact_div(ONE + 1) == T
     assert (2 * T).exact_div(True) == 2 * T
+    assert LaurentPoly.constant(True) == ONE
+    assert LaurentPoly.half_power(True) == T_HALF
+    assert LaurentPoly.t_power(True) == T
+    # The term map still holds only ints, never a bool.
+    for f in (LaurentPoly.constant(True), LaurentPoly.half_power(True)):
+        assert {type(k) for k in f.terms} | {type(c) for c in f.terms.values()} == {int}
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: LaurentPoly.constant(1.5),
+        lambda: LaurentPoly.half_power(1.0),
+        lambda: LaurentPoly.t_power(0.5),
+    ],
+)
+def test_float_helper_arguments_raise(build):
+    with pytest.raises(TypeError):
+        build()
 
 
 class TestAdd:

@@ -349,6 +349,15 @@ def test_pencil_builders_match_entrywise_definitions_randomized():
     assert {(0, 0), (1, 0), (2, 3), (3, 2), (5, 5)} <= shapes
 
 
+@pytest.mark.parametrize("rows, cols", [(2, 3), (3, 2), (1, 0)])
+def test_pencil_det_of_a_zero_non_square_pair_raises(rows, cols):
+    """h2 = 0 here too, yet the pair has no determinant: NotSquare, not ZERO."""
+    zero = [[0] * cols for _ in range(rows)]
+    with pytest.raises(NotSquare) as info:
+        pencil_det(SeifertPair(zero, zero, 1, 2))
+    assert str(info.value) == f"{rows}x{cols} matrix has no determinant"
+
+
 def test_det_matches_permutation_oracle_all_sizes():
     rng, edits = random.Random(SEED + 2), random.Random(SEED + 12)
     for _ in range(1000):
