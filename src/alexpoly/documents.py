@@ -17,12 +17,12 @@ is accepted only in the form str(k) writes; integers are JSON integers,
 never true/false.  An object has only the keys shown, and no object
 repeats a key.  Nesting too deep to decode is an invalid document.
 
-Three size limits bound the work any document can ask for: every
-half-exponent k satisfies |k| <= MAX_HALF_EXPONENT, S and N have at most
-MAX_MATRIX_DIM rows and columns, and their entries e satisfy
-|e| <= MAX_MATRIX_ENTRY.  The half-exponent cap also bounds polynomial
-texts.  The limits apply here, where input comes in, and not to the
-arithmetic itself.
+Four size limits bound the work any document can ask for: a document
+file has at most MAX_DOCUMENT_BYTES bytes, every half-exponent k
+satisfies |k| <= MAX_HALF_EXPONENT, S and N have at most MAX_MATRIX_DIM
+rows and columns, and their entries e satisfy |e| <= MAX_MATRIX_ENTRY.
+The half-exponent cap also bounds polynomial texts.  The limits apply
+here, where input comes in, and not to the arithmetic itself.
 """
 from __future__ import annotations
 
@@ -36,6 +36,10 @@ from .laurent import LaurentPoly
 from .seifert import SeifertPair
 
 
+# A document is read whole before it is parsed, so a path to an endless
+# stream such as /dev/zero must stop at a cap.  A triple of three dense
+# 200,001-term polynomials with one-digit coefficients is about 8 MB.
+MAX_DOCUMENT_BYTES = 64 * 2**20
 # At most 200,001 terms per polynomial.  The commands build no quotient,
 # so their Laurent arithmetic is linear in the terms: alink on
 # t^50000 - 1 and find-reps on three sparse polynomials spanning
@@ -139,16 +143,6 @@ def seifert_pair_from_doc(obj: Any) -> SeifertPair:
         raise InvalidDocument(f"bad seifert_pair document: {exc}") from None
 
 
-def seifert_pair_to_doc(pair: SeifertPair) -> dict:
-    return {
-        "kind": "seifert_pair",
-        "p": pair.p,
-        "n": pair.n,
-        "S": [list(row) for row in pair.S],
-        "N": [list(row) for row in pair.N],
-    }
-
-
 def triple_from_doc(obj: Any) -> Triple:
     _require_kind(obj, "triple")
     move = obj["move"]
@@ -198,11 +192,26 @@ def load_document(
     """The value of the document in a file, which must be one of kinds.
 
     The whole document is parsed first, so a malformed one is reported as
-    such even when its kind is not accepted.
+    such even when its kind is not accepted.  The bytes are decoded as
+    UTF-8 before they are parsed, since json.loads on bytes would also
+    take UTF-16 and UTF-32.  Line ends are then read as a file opened in
+    text mode reads them, CR LF and CR as LF, so a JSON error gives the
+    line and character it would give there.
     """
+    # Read in chunks: one read of up to the whole cap would allocate the
+    # cap for every document, which made each load of a small one about
+    # twice as slow (2-vCPU VM).
+    data = bytearray()
+    with open(path, "rb") as handle:
+        while len(data) <= MAX_DOCUMENT_BYTES and (chunk := handle.read(2**16)):
+            data += chunk
+    _require(
+        len(data) <= MAX_DOCUMENT_BYTES,
+        f"{path}: document is past the cap of {MAX_DOCUMENT_BYTES} bytes",
+    )
+    text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
     try:
-        with open(path, encoding="utf-8") as handle:
-            obj = json.load(handle, object_pairs_hook=_unique_keys)
+        obj = json.loads(text, object_pairs_hook=_unique_keys)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise InvalidDocument(f"{path}: {exc}") from None
     value = parse_document(obj)

@@ -28,7 +28,7 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .balance import BalancedClass, Ring, _require_integral
-from .errors import NotDivisible, PreconditionViolated, ShapeMismatch
+from .errors import NotDivisible, NotSquare, PreconditionViolated, ShapeMismatch
 from .laurent import LaurentPoly, T_HALF_DIFF, T_MINUS_ONE, ZERO
 from .seifert import SeifertPair, _corank_one_kernel, intersection_form, pencil_det, transpose
 
@@ -37,10 +37,12 @@ from .seifert import SeifertPair, _corank_one_kernel, intersection_form, pencil_
 class NormalizedInput:
     """A middle-dimension Seifert pair plus the injectivity flag.
 
-    The pair must carry n = 4k+1 and p = 2k+1.  middle_condition states
-    whether the degree-2k Alexander matrix induces an injective map on
-    the covering homology; that is topological data the caller supplies,
-    and when it is false the normalized polynomial is zero by definition.
+    The pair must carry n = 4k+1 and p = 2k+1, and be square: it pairs
+    H_{2k+1} with itself, so a non-square pair raises NotSquare whatever
+    the flag.  middle_condition states whether the degree-2k Alexander
+    matrix induces an injective map on the covering homology; that is
+    topological data the caller supplies, and when it is false the
+    normalized polynomial is zero by definition.
     """
 
     pair: SeifertPair
@@ -52,6 +54,9 @@ class NormalizedInput:
         n, p = self.pair.n, self.pair.p
         if n % 4 != 1 or 2 * p != n + 1:
             raise ValueError(f"need n = 4k+1 and p = 2k+1, got p={p}, n={n}")
+        rows, cols = self.pair.shape
+        if rows != cols:
+            raise NotSquare(f"{rows}x{cols} matrix has no determinant")
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@ import copy
 import importlib.util
 import io
 import json
+import os
 import pkgutil
 import random
 import sys
@@ -15,7 +16,12 @@ from hypothesis import strategies as st
 import alexpoly
 from alexpoly import LaurentPoly, Ring, SeifertPair, T, canonicalize, check_pass_move
 from alexpoly.cli import main
-from alexpoly.documents import MAX_HALF_EXPONENT, MAX_MATRIX_DIM, MAX_MATRIX_ENTRY
+from alexpoly.documents import (
+    MAX_DOCUMENT_BYTES,
+    MAX_HALF_EXPONENT,
+    MAX_MATRIX_DIM,
+    MAX_MATRIX_ENTRY,
+)
 from conftest import move_triple, random_int_matrix
 
 PAIR_4 = {"kind": "seifert_pair", "p": 1, "n": 2, "S": [[4]], "N": [[4]]}
@@ -382,6 +388,37 @@ def test_non_canonical_term_key_is_input_error(tmp_path, capsys):
         assert len(capsys.readouterr().err.splitlines()) == 1
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
+def test_endless_stream_is_past_the_byte_cap(capsys):
+    assert main(["alex", "/dev/zero"]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: /dev/zero: document is past the cap of {MAX_DOCUMENT_BYTES} bytes\n"
+    )
+
+
+def test_document_byte_cap(tmp_path, capsys, monkeypatch):
+    text = json.dumps(PAIR_4)
+    monkeypatch.setattr("alexpoly.documents.MAX_DOCUMENT_BYTES", len(text) + 4)
+    path = tmp_path / "p.json"
+    path.write_text(text + " " * 4, encoding="utf-8")
+    assert main(["alink", str(path)]) == 0
+    assert capsys.readouterr().out == "pseudo-alinking: 4\n"
+    path.write_text(text + " " * 5, encoding="utf-8")
+    assert main(["alink", str(path)]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: {path}: document is past the cap of {len(text) + 4} bytes\n"
+    )
+
+
+def test_utf16_document_is_input_error(tmp_path, capsys):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(PAIR_4), encoding="utf-16")
+    assert main(["alex", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+
+
 def test_deeply_nested_json_is_input_error(tmp_path, capsys):
     path = tmp_path / "deep.json"
     path.write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
@@ -526,15 +563,151 @@ def test_wrong_document_kind_message(tmp_path, capsys, command, kind):
 
 
 @pytest.mark.parametrize("rows, cols", [(2, 3), (3, 2), (1, 0)])
-@pytest.mark.parametrize("command, p, n", [("alex", 1, 1), ("norm", 3, 5)])
+@pytest.mark.parametrize(
+    "command, p, n",
+    [
+        ("alex", 1, 1),
+        ("norm", 3, 5),
+        pytest.param("norm --middle-injective false", 3, 5, id="norm-middle-false-3-5"),
+    ],
+)
 def test_zero_non_square_pair_has_no_determinant(tmp_path, capsys, command, p, n, rows, cols):
-    """An all-zero pencil that is not square is an error, not the zero class."""
+    """An all-zero pencil that is not square is an error, not the zero class.
+
+    norm says so under either flag: a middle-dimension pair is square.
+    """
     zero = [[0] * cols for _ in range(rows)]
     doc = {"kind": "seifert_pair", "p": p, "n": n, "S": zero, "N": zero}
-    assert main([command, write(tmp_path, "pair.json", doc)]) == 3
+    assert main([*command.split(), write(tmp_path, "pair.json", doc)]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: NotSquare: {rows}x{cols} matrix has no determinant\n"
+
+
+# Every command's exact output on fixed inputs: (arguments, document written
+# to DOC, exit code, text stdout, --json stdout, stderr).  --json goes right
+# after the command name.  A failed corpus runs with run_corpus patched.
+BROKEN_TRIPLE = {**INTRO_TRIPLE, "zero": {"kind": "laurent", "terms": {"0": 5}}}
+FOUND_TRIPLE = {**INTRO_TRIPLE, "zero": {"kind": "laurent", "terms": {"0": 1}}}
+NOT_FOUND_TRIPLE = _pass_doc({"0": -1, "2": 1}, {"0": -1, "2": 1}, {"0": 1})
+CORPUS_NAMES = (
+    "intro-triple", "intro-reps", "mississippi-classes", "mississippi-triples",
+    "aa-triple", "aa2-triple", "osaka2-twist", "osaka2-twinkle",
+)
+EXACT_OUTPUT = {
+    "alex": (
+        ["alex", "DOC"], PAIR_4, 0,
+        "polynomial: -4 + 4*t^1\nZ class: -4 + 4*t^1\nQ class: -1 + 1*t^1\n",
+        '{"polynomial": {"kind": "laurent", "terms": {"0": -4, "2": 4}},'
+        ' "q_class": {"kind": "laurent", "terms": {"0": -1, "2": 1}},'
+        ' "z_class": {"kind": "laurent", "terms": {"0": -4, "2": 4}}}\n',
+        "",
+    ),
+    "norm": (
+        ["norm", "DOC"], V_ZERO, 0,
+        "normalized: 1*t^(-1/2) + -1*t^(1/2)\n",
+        '{"normalized": {"kind": "laurent", "terms": {"-1": 1, "1": -1}}}\n',
+        "",
+    ),
+    "skein-holds": (
+        ["skein", "DOC"], INTRO_TRIPLE, 0,
+        "move: pass\nlhs: 1 + -1*t^1\nrhs: 1 + -1*t^1\nresidual: 0\nholds: true\n",
+        '{"holds": true, "lhs": {"kind": "laurent", "terms": {"0": 1, "2": -1}},'
+        ' "move": "pass", "residual": {"kind": "laurent", "terms": {}},'
+        ' "rhs": {"kind": "laurent", "terms": {"0": 1, "2": -1}}}\n',
+        "",
+    ),
+    "skein-fails": (
+        ["skein", "DOC"], BROKEN_TRIPLE, 1,
+        "move: pass\nlhs: 1 + -1*t^1\nrhs: -5 + 5*t^1\nresidual: 6 + -6*t^1\nholds: false\n",
+        '{"holds": false, "lhs": {"kind": "laurent", "terms": {"0": 1, "2": -1}},'
+        ' "move": "pass", "residual": {"kind": "laurent", "terms": {"0": 6, "2": -6}},'
+        ' "rhs": {"kind": "laurent", "terms": {"0": -5, "2": 5}}}\n',
+        "",
+    ),
+    "alink": (
+        ["alink", "DOC"], PAIR_4, 0, "pseudo-alinking: 4\n", '{"pseudo_alinking": 4}\n', ""
+    ),
+    "twinkle": (
+        ["twinkle", "DOC"], V_ZERO, 0,
+        "pseudo-twinkling: -1\n", '{"pseudo_twinkling": -1}\n', "",
+    ),
+    "arf": (["arf", "DOC"], ARF_DOC, 0, "arf: 1\n", '{"arf": 1}\n', ""),
+    "balanced-eq-holds": (
+        ["balanced-eq", "--ring", "Q", "-4 + 4*t^1", "-3 + 3*t^1"], None, 0,
+        "Q-balanced: true\n", '{"balanced": true, "ring": "Q"}\n', "",
+    ),
+    "balanced-eq-fails": (
+        ["balanced-eq", "--ring", "Z", "-4 + 4*t^1", "-3 + 3*t^1"], None, 1,
+        "Z-balanced: false\n", '{"balanced": false, "ring": "Z"}\n', "",
+    ),
+    "balanced-eq-bad-input": (
+        ["balanced-eq", "--ring", "Z", "bogus", "0"], None, 2,
+        "", "", "error: cannot parse term 'bogus'\n",
+    ),
+    "canon": (
+        ["canon", "--ring", "Q", "-8 + 8*t^1"], None, 0,
+        "canonical: -1 + 1*t^1\n",
+        '{"canonical": {"kind": "laurent", "terms": {"0": -1, "2": 1}}}\n',
+        "",
+    ),
+    "canon-precondition": (
+        ["canon", "--ring", "Z", "1*t^(1/2)"], None, 3,
+        "", "", "error: NonIntegerExponent: 1*t^(1/2) has half powers of t\n",
+    ),
+    "find-reps-found": (
+        ["find-reps", "DOC"], FOUND_TRIPLE, 0,
+        "found: true (window 2)\nplus: multiply by +t^1\nminus: multiply by +t^0\n"
+        "zero: multiply by -t^0\n",
+        '{"found": true, "shifts": [{"exponent": 1, "sign": 1},'
+        ' {"exponent": 0, "sign": 1}, {"exponent": 0, "sign": -1}], "window": 2}\n',
+        "",
+    ),
+    "find-reps-not-found": (
+        ["find-reps", "DOC"], NOT_FOUND_TRIPLE, 1,
+        "found: false (no unit multiples satisfy the pass-move identity;"
+        " the window 3 is complete)\n",
+        '{"found": false, "shifts": [], "window": 3}\n',
+        "",
+    ),
+    "corpus-passes": (
+        ["corpus"], None, 0,
+        "".join(f"{name}: pass\n" for name in CORPUS_NAMES),
+        '{"all_passed": true, "entries": ['
+        + ", ".join(
+            f'{{"failures": [], "name": "{name}", "passed": true}}' for name in CORPUS_NAMES
+        )
+        + "]}\n",
+        "",
+    ),
+    "corpus-fails": (
+        ["corpus"], None, 1,
+        "intro-triple: FAIL\n  broken\naa-triple: pass\n",
+        '{"all_passed": false, "entries": [{"failures": ["broken"], "name": "intro-triple",'
+        ' "passed": false}, {"failures": [], "name": "aa-triple", "passed": true}]}\n',
+        "",
+    ),
+}
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+@pytest.mark.parametrize("case", EXACT_OUTPUT)
+def test_exact_output(tmp_path, monkeypatch, case, as_json):
+    from alexpoly.corpus import CorpusReport, EntryResult
+
+    argv, doc, code, text, json_text, err = EXACT_OUTPUT[case]
+    if doc is not None:
+        path = write(tmp_path, "doc.json", doc)
+        argv = [path if arg == "DOC" else arg for arg in argv]
+    if case == "corpus-fails":
+        failing = CorpusReport((
+            EntryResult("intro-triple", False, ("broken",)),
+            EntryResult("aa-triple", True, ()),
+        ))
+        monkeypatch.setattr("alexpoly.cli.run_corpus", lambda: failing)
+    if as_json:
+        argv = [argv[0], "--json", *argv[1:]]
+    assert _run(argv) == (code, json_text if as_json else text, err)
 
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),

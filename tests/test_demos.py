@@ -63,6 +63,7 @@ def test_readme_limits_are_the_document_caps():
     """Each input limit README states is the constant the loader enforces."""
     readme = " ".join((ROOT / "README.md").read_text(encoding="utf-8").split())
     for stated, name in [
+        (f"at most {documents.MAX_DOCUMENT_BYTES} bytes", "MAX_DOCUMENT_BYTES"),
         (f"`|k| <= {documents.MAX_HALF_EXPONENT}`", "MAX_HALF_EXPONENT"),
         (f"at most {documents.MAX_MATRIX_DIM} rows and columns", "MAX_MATRIX_DIM"),
         (f"`|e| <= {documents.MAX_MATRIX_ENTRY}`", "MAX_MATRIX_ENTRY"),

@@ -14,7 +14,6 @@ from alexpoly.documents import (
     load_document,
     parse_document,
     seifert_pair_from_doc,
-    seifert_pair_to_doc,
     triple_from_doc,
 )
 
@@ -95,7 +94,6 @@ def test_seifert_pair_matrix_must_be_list_of_rows(rows):
 def test_seifert_pair_roundtrip():
     pair = seifert_pair_from_doc(PAIR_DOC)
     assert pair == SeifertPair([[4]], [[4]], 1, 2)
-    assert seifert_pair_to_doc(pair) == PAIR_DOC
 
 
 def test_seifert_pair_errors():
@@ -202,6 +200,14 @@ def test_load_document_too_deep(tmp_path):
     deep.write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
     with pytest.raises(InvalidDocument):
         load_document(str(deep), ("seifert_pair",))
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_load_document_error_position_reads_line_ends_as_text(tmp_path, newline):
+    path = tmp_path / "doc.json"
+    path.write_bytes(newline.join(["{", '"kind": "laurent",', '"terms": {"0": 1,}}']).encode())
+    with pytest.raises(InvalidDocument, match=r": line 3 column 18 \(char 38\)$"):
+        load_document(str(path), ("laurent",))
 
 
 TRIPLE_DOC = {

@@ -4,10 +4,11 @@ An imported name counts as used when its module reads it anywhere,
 annotations included.  __future__ imports bind no name, and the names a
 module lists in __all__ (the package's re-exports) count as used.
 
-A private name (one leading underscore) that a module defines at its top
-level, as a function, a class or an assignment, counts as read when some
-module of the package loads it as a name, reads it as an attribute or
-imports it.
+A name that a module defines at its top level, as a function, a class or
+an assignment, counts as read when some module of the package loads it as
+a name, reads it as an attribute or imports it.  Every private name (one
+leading underscore) and every public name (none) must be read; the
+imports in __init__ count, so the names the package exports pass.
 """
 import ast
 from pathlib import Path
@@ -57,7 +58,12 @@ def _private(name: str) -> bool:
     return name.startswith("_") and not name.startswith("__")
 
 
-def unread_private_names(sources: dict[str, str]) -> list[str]:
+def _public(name: str) -> bool:
+    return not name.startswith("_")
+
+
+def unread_names(sources: dict[str, str], chosen) -> list[str]:
+    """The top-level names for which chosen(name) holds that no module reads."""
     defined, read = [], set()
     for module, source in sources.items():
         tree = ast.parse(source)
@@ -69,7 +75,7 @@ def unread_private_names(sources: dict[str, str]) -> list[str]:
                 names = [t.id for t in targets if isinstance(t, ast.Name)]
             else:
                 names = []
-            defined += [f"{module}:{name}" for name in names if _private(name)]
+            defined += [f"{module}:{name}" for name in names if chosen(name)]
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
@@ -80,9 +86,15 @@ def unread_private_names(sources: dict[str, str]) -> list[str]:
     return [entry for entry in defined if entry.partition(":")[2] not in read]
 
 
+SOURCES = {module.name: module.read_text(encoding="utf-8") for module in MODULES}
+
+
 def test_no_unread_private_name():
-    sources = {module.name: module.read_text(encoding="utf-8") for module in MODULES}
-    assert unread_private_names(sources) == []
+    assert unread_names(SOURCES, _private) == []
+
+
+def test_no_unread_public_name():
+    assert unread_names(SOURCES, _public) == []
 
 
 def test_private_name_check_sees_every_kind_of_read():
@@ -97,4 +109,5 @@ def test_private_name_check_sees_every_kind_of_read():
         ),
         "b.py": "_imported = 3\n_by_attribute = 4\ndef __dunder(): pass\n",
     }
-    assert unread_private_names(sources) == ["a.py:_dead", "a.py:_Unused"]
+    assert unread_names(sources, _private) == ["a.py:_dead", "a.py:_Unused"]
+    assert unread_names(sources, _public) == ["a.py:public"]

@@ -138,6 +138,14 @@ class TestNormalizedAlexander:
         with pytest.raises(ValueError):
             NormalizedInput(SeifertPair([[1]], [[1]], 1, 2), middle_condition=True)
 
+    @pytest.mark.parametrize("rows, cols", [(2, 3), (3, 2), (1, 0)])
+    @pytest.mark.parametrize("middle_condition", [True, False])
+    def test_non_square_pair_rejected(self, rows, cols, middle_condition):
+        zero = [[0] * cols for _ in range(rows)]
+        message = f"^{rows}x{cols} matrix has no determinant$"
+        with pytest.raises(NotSquare, match=message):
+            NormalizedInput(SeifertPair(zero, zero, 3, 5), middle_condition)
+
 
 class TestPseudoAlinkingFromPoly:
     def test_content_four(self):
