@@ -132,7 +132,7 @@ def _cmd_canon(args) -> _Result:
 def _cmd_find_reps(args) -> _Result:
     triple: Triple = load_document(args.file, ("triple",))
     if triple.move != "pass":
-        raise InvalidDocument("find-reps needs a pass-move triple")
+        raise InvalidDocument(f"{args.file}: find-reps needs a pass-move triple")
     classes = [
         BalancedClass.from_poly(f, Ring.Z)
         for f in (triple.plus, triple.minus, triple.zero)

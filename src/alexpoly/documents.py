@@ -32,7 +32,7 @@ from typing import Any
 
 from .errors import AlexpolyError, InvalidDocument
 from .invariants import ArfData
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, _wrap
 from .seifert import SeifertPair
 
 
@@ -100,7 +100,7 @@ def laurent_from_doc(obj: Any) -> LaurentPoly:
         _require_halfexp_cap(halfexp)
         _require(type(coeff) is int, f"coefficient for key {key!r} must be an integer")
         out[halfexp] = coeff
-    return LaurentPoly(out)
+    return _wrap(out)
 
 
 def laurent_from_text(text: str) -> LaurentPoly:
@@ -122,7 +122,6 @@ def laurent_to_doc(f: LaurentPoly) -> dict:
 
 def seifert_pair_from_doc(obj: Any) -> SeifertPair:
     _require_kind(obj, "seifert_pair")
-    _require(type(obj["p"]) is int and type(obj["n"]) is int, "p and n must be integers")
     for key in ("S", "N"):
         rows = obj[key]
         _require(
@@ -155,10 +154,9 @@ def arf_from_doc(obj: Any) -> ArfData:
     _require_kind(obj, "arf")
     for key in ("a", "b"):
         _require(isinstance(obj.get(key), list), f"arf document needs a list {key!r}")
-        _require(all(type(v) is int for v in obj[key]), f"arf list {key!r} must hold integers")
     try:
         return ArfData(len(obj["a"]), obj["a"], obj["b"])
-    except (AlexpolyError, ValueError) as exc:
+    except (AlexpolyError, ValueError, TypeError) as exc:
         raise InvalidDocument(f"bad arf document: {exc}") from None
 
 
@@ -175,7 +173,7 @@ def parse_document(obj: Any) -> SeifertPair | LaurentPoly | Triple | ArfData:
     """The value a decoded document of any kind stands for."""
     _require(isinstance(obj, dict), "document must be a JSON object")
     kind = obj.get("kind")
-    _require(kind in _KINDS, f"unknown document kind {kind!r}")
+    _require(isinstance(kind, str) and kind in _KINDS, f"unknown document kind {kind!r}")
     return _KINDS[kind][1](obj)
 
 
@@ -196,7 +194,8 @@ def load_document(
     UTF-8 before they are parsed, since json.loads on bytes would also
     take UTF-16 and UTF-32.  Line ends are then read as a file opened in
     text mode reads them, CR LF and CR as LF, so a JSON error gives the
-    line and character it would give there.
+    line and character it would give there.  Any refusal, from the byte
+    cap to the kind, raises one InvalidDocument "<path>: <reason>".
     """
     # Read in chunks: one read of up to the whole cap would allocate the
     # cap for every document, which made each load of a small one about
@@ -205,16 +204,14 @@ def load_document(
     with open(path, "rb") as handle:
         while len(data) <= MAX_DOCUMENT_BYTES and (chunk := handle.read(2**16)):
             data += chunk
-    _require(
-        len(data) <= MAX_DOCUMENT_BYTES,
-        f"{path}: document is past the cap of {MAX_DOCUMENT_BYTES} bytes",
-    )
-    text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
     try:
+        if len(data) > MAX_DOCUMENT_BYTES:
+            raise InvalidDocument(f"document is past the cap of {MAX_DOCUMENT_BYTES} bytes")
+        text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
         obj = json.loads(text, object_pairs_hook=_unique_keys)
-    except (json.JSONDecodeError, RecursionError) as exc:
+        value = parse_document(obj)
+        kind = obj["kind"]
+        _require(kind in kinds, f"expected a {' or '.join(kinds)} document, got {kind}")
+    except (InvalidDocument, ValueError, RecursionError) as exc:
         raise InvalidDocument(f"{path}: {exc}") from None
-    value = parse_document(obj)
-    kind = obj["kind"]
-    _require(kind in kinds, f"{path}: expected a {' or '.join(kinds)} document, got {kind}")
     return value

@@ -28,9 +28,11 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .balance import BalancedClass, Ring, _require_integral
-from .errors import NotDivisible, NotSquare, PreconditionViolated, ShapeMismatch
+from .errors import NotDivisible, PreconditionViolated, ShapeMismatch
 from .laurent import LaurentPoly, T_HALF_DIFF, T_MINUS_ONE, ZERO
-from .seifert import SeifertPair, _corank_one_kernel, intersection_form, pencil_det, transpose
+from .seifert import (
+    SeifertPair, _corank_one_kernel, _require_square, intersection_form, pencil_det, transpose
+)
 
 
 @dataclass(frozen=True)
@@ -54,9 +56,7 @@ class NormalizedInput:
         n, p = self.pair.n, self.pair.p
         if n % 4 != 1 or 2 * p != n + 1:
             raise ValueError(f"need n = 4k+1 and p = 2k+1, got p={p}, n={n}")
-        rows, cols = self.pair.shape
-        if rows != cols:
-            raise NotSquare(f"{rows}x{cols} matrix has no determinant")
+        _require_square(self.pair.S)
 
 
 @dataclass(frozen=True)

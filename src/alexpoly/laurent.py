@@ -346,9 +346,9 @@ def _wrap(terms: dict[int, int], f: LaurentPoly | None = None) -> LaurentPoly:
 
     The one place zero terms are dropped.  It takes the map over, so
     callers pass one nobody else holds, and it checks no types: the
-    constructor checks outside input before calling it, while the
-    arithmetic, ``parse`` and ``balance.canonicalize`` pass maps they built
-    from ints.  Fills f when given, else a new object.
+    constructor and ``documents.laurent_from_doc`` check outside input
+    first, while the arithmetic, ``parse`` and ``balance.canonicalize``
+    pass maps they built from ints.  Fills f when given, else a new object.
     """
     if f is None:
         f = object.__new__(LaurentPoly)

@@ -37,22 +37,38 @@ IntMatrix = tuple[tuple[int, ...], ...]
 # -- integer matrix helpers ---------------------------------------------------
 
 
-def as_int_matrix(rows: Iterable[Iterable[int]]) -> IntMatrix:
-    """Freeze a row-major iterable of ints, checking rectangularity."""
+def _freeze(rows: Iterable[Iterable], kind: type, what: str) -> tuple[tuple, ...]:
+    """Freeze rectangular rows of entries of exactly type kind; what names the matrix."""
     out = tuple(tuple(row) for row in rows)
     for row in out:
         for v in row:
-            if type(v) is not int:
-                raise TypeError(f"matrix entries must be ints, got {v!r}")
+            if type(v) is not kind:
+                raise TypeError(f"{what} entries must be {kind.__name__}s, got {v!r}")
     if out and any(len(r) != len(out[0]) for r in out):
         raise ShapeMismatch("rows have unequal lengths")
     return out
+
+
+def as_int_matrix(rows: Iterable[Iterable[int]]) -> IntMatrix:
+    """Freeze a row-major iterable of ints, checking rectangularity."""
+    return _freeze(rows, int, "matrix")
+
+
+def _require_square(rows: Sequence[Sequence], why: str = "has no determinant") -> None:
+    """Raise NotSquare, "RxC matrix <why>", unless the rows are square."""
+    n = len(rows)
+    if any(len(r) != n for r in rows):
+        raise NotSquare(f"{n}x{len(rows[0])} matrix {why}")
 
 
 def transpose(m: IntMatrix) -> IntMatrix:
     if not m:
         return ()
     return tuple(tuple(m[i][j] for i in range(len(m))) for j in range(len(m[0])))
+
+
+def _signed_transpose(m: IntMatrix, sign: int) -> IntMatrix:
+    return tuple(tuple(sign * v for v in row) for row in transpose(m))
 
 
 def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
@@ -106,13 +122,11 @@ def _bareiss(rows: Sequence[Sequence]) -> tuple[list[list], list[int], list[int]
 
 def _det(rows: Sequence[Sequence], one, zero):
     """Exact determinant of square rows over the ring of one and zero."""
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise NotSquare(f"{n}x{len(rows[0])} matrix has no determinant")
-    if n == 0:
+    _require_square(rows)
+    if not rows:
         return one
     a, pivots, _, sign = _bareiss(rows)
-    return sign * a[-1][-1] if len(pivots) == n else zero
+    return sign * a[-1][-1] if len(pivots) == len(a) else zero
 
 
 def _corank_one_kernel(m: IntMatrix) -> tuple[list[int], int, int] | None:
@@ -184,14 +198,7 @@ class AlexanderMatrix:
     entries: tuple[tuple[LaurentPoly, ...], ...]
 
     def __init__(self, entries: Iterable[Iterable[LaurentPoly]]):
-        rows = tuple(tuple(row) for row in entries)
-        for row in rows:
-            for v in row:
-                if not isinstance(v, LaurentPoly):
-                    raise TypeError(f"Alexander matrix entries must be LaurentPolys, got {v!r}")
-        if rows and any(len(r) != len(rows[0]) for r in rows):
-            raise ShapeMismatch("rows have unequal lengths")
-        object.__setattr__(self, "entries", rows)
+        object.__setattr__(self, "entries", _freeze(entries, LaurentPoly, "Alexander matrix"))
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -311,9 +318,7 @@ def check_duality(pair_a: SeifertPair, pair_b: SeifertPair) -> bool:
     rows, cols = pair_a.shape
     if pair_b.shape != (cols, rows):
         raise ShapeMismatch(f"expected {cols}x{rows} partner, got {pair_b.shape}")
-    sign = (-1) ** (pair_a.p * pair_a.n + 1)
-    flipped = tuple(tuple(sign * v for v in row) for row in transpose(pair_b.S))
-    return pair_a.N == flipped
+    return pair_a.N == _signed_transpose(pair_b.S, (-1) ** (pair_a.p * pair_a.n + 1))
 
 
 def check_mars_symmetry(s: IntMatrix, m: int) -> bool:
@@ -321,10 +326,8 @@ def check_mars_symmetry(s: IntMatrix, m: int) -> bool:
     if type(m) is not int:
         raise TypeError(f"m must be an int, got {m!r}")
     s = as_int_matrix(s)
-    if s and len(s) != len(s[0]):
-        raise NotSquare(f"{len(s)}x{len(s[0])} matrix cannot be compared with its transpose")
-    sign = (-1) ** m
-    return s == tuple(tuple(sign * v for v in row) for row in transpose(s))
+    _require_square(s, "cannot be compared with its transpose")
+    return s == _signed_transpose(s, (-1) ** m)
 
 
 def basis_change(pair: SeifertPair, u: UnimodularPair) -> SeifertPair:
@@ -353,12 +356,10 @@ def stabilize(
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    rows, cols = m.shape
-    if rows != cols:
-        raise NotSquare("can only stabilize a square matrix")
+    _require_square(m.entries, "cannot be stabilized")
     filler = tuple(filler)
-    if len(filler) != cols:
-        raise ShapeMismatch(f"filler length {len(filler)} != {cols} columns")
+    if len(filler) != len(m.entries):
+        raise ShapeMismatch(f"filler length {len(filler)} != {len(m.entries)} columns")
     top = (T * sign,) + filler
     body = tuple((ZERO,) + row for row in m.entries)
     return AlexanderMatrix((top,) + body)

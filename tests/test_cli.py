@@ -328,8 +328,9 @@ def test_find_reps_dense_at_exponent_cap(tmp_path, capsys):
 
 
 def test_find_reps_rejects_twist(tmp_path, capsys):
-    doc = dict(TWIST_TRIPLE)
-    assert main(["find-reps", write(tmp_path, "t.json", doc)]) == 2
+    path = write(tmp_path, "t.json", TWIST_TRIPLE)
+    assert main(["find-reps", path]) == 2
+    assert capsys.readouterr() == ("", f"error: {path}: find-reps needs a pass-move triple\n")
 
 
 def test_corpus(capsys):
@@ -363,6 +364,52 @@ def test_missing_file_is_input_error(capsys):
 def test_wrong_document_kind(tmp_path, capsys):
     doc = {"kind": "arf", "a": [1], "b": [1]}
     assert main(["alex", write(tmp_path, "a.json", doc)]) == 2
+
+
+# (command, file content, a part of the reason, byte cap to patch in or None)
+LOAD_FAILURES = {
+    "missing key": ("alink", '{"kind": "laurent"}', "laurent document needs 'terms'", None),
+    "unknown key": ("alink", '{"kind": "laurent", "terms": {}, "x": 0}', "unknown key 'x'", None),
+    "bad term key": ("alink", '{"kind": "laurent", "terms": {"+2": 1}}', "key '+2'", None),
+    "non-int coefficient": (
+        "alink", '{"kind": "laurent", "terms": {"2": 1.0}}', "must be an integer", None
+    ),
+    "p is 1.5": ("alink", json.dumps({**PAIR_4, "p": 1.5}), "p and n must be ints", None),
+    "arf entry true": (
+        "arf", '{"kind": "arf", "a": [true], "b": [1]}', "pairings must be ints", None
+    ),
+    "broken JSON": ("alex", '{"kind": ', "Expecting value", None),
+    "too deep": ("alex", "[" * 100000 + "]" * 100000, "maximum recursion depth", None),
+    "byte cap": ("alink", json.dumps(PAIR_4), "past the cap of 10 bytes", 10),
+    "0xff byte": ("alex", b'{"kind": "\xff"}', "can't decode byte 0xff", None),
+    "4,400 digits": (
+        "alink", '{"kind": "laurent", "terms": {"0": ' + "9" * 4400 + "}}",
+        "Exceeds the limit (4300 digits)", None,
+    ),
+    "wrong kind": ("alex", '{"kind": "laurent", "terms": {}}', "got laurent", None),
+    "unhashable kind": ("alex", '{"kind": []}', "unknown document kind []", None),
+}
+
+
+@pytest.mark.parametrize("case", list(LOAD_FAILURES))
+def test_every_load_failure_names_the_file(tmp_path, monkeypatch, case):
+    command, content, reason, cap = LOAD_FAILURES[case]
+    if case == "4,400 digits" and not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("this Python has no digit limit on int()")
+    if cap is not None:
+        monkeypatch.setattr("alexpoly.documents.MAX_DOCUMENT_BYTES", cap)
+    path = tmp_path / "doc.json"
+    path.write_bytes(content if isinstance(content, bytes) else content.encode())
+    code, out, err = _run([command, str(path)])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path}: ") and reason in err, err
+    assert len(err.splitlines()) == 1, err
+
+
+@pytest.mark.parametrize("kind", [[], {}, [1], {"a": 1}])
+def test_unhashable_kind_is_input_error(tmp_path, kind):
+    path = write(tmp_path, "doc.json", {"kind": kind})
+    assert _run(["alink", path]) == (2, "", f"error: {path}: unknown document kind {kind!r}\n")
 
 
 def test_not_square_is_precondition_error(tmp_path, capsys):
@@ -849,7 +896,7 @@ def _edit(doc, edit, data):
         bad = data.draw(st.text(max_size=8).filter(lambda k: not _is_canonical_key(k)))
         holder[bad] = holder.pop(last)
     elif role == "kind":
-        kinds = st.sampled_from(sorted(COMMANDS)) | st.text(max_size=8)
+        kinds = st.sampled_from(sorted(COMMANDS)) | st.text(max_size=8) | _JSON
         holder[last] = data.draw(kinds.filter(lambda k: k != holder[last]))
     elif role == "int":
         holder[last] = data.draw(_JSON.filter(lambda v: type(v) is not int))

@@ -271,14 +271,6 @@ class TestQueries:
             (T - 1) ** -1
 
 
-def test_doctests():
-    import doctest
-
-    import alexpoly.laurent
-
-    assert doctest.testmod(alexpoly.laurent).failed == 0
-
-
 def test_ring_laws_randomized():
     rng = random.Random(SEED)
     for _ in range(CASES):

@@ -294,6 +294,10 @@ class TestStabilize:
         with pytest.raises(ValueError):
             stabilize(AlexanderMatrix(((T,),)), 2, (ZERO,))
 
+    def test_not_square(self):
+        with pytest.raises(NotSquare, match=r"^1x2 matrix cannot be stabilized$"):
+            stabilize(AlexanderMatrix(((T, ONE),)), 1, (ZERO, ZERO))
+
 
 def _with_elimination_edits(rng, m, zero):
     """m, then for size 2 and up three edits that random entries seldom
