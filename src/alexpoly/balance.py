@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .errors import NonIntegerExponent
+from .errors import NonIntegerExponent, short_repr
 from .laurent import LaurentPoly, _wrap
 
 
@@ -52,7 +52,7 @@ def canonicalize(f: LaurentPoly, ring: Ring) -> LaurentPoly:
     itself when f already starts at t^0.  Zero maps to zero.
     """
     if not isinstance(ring, Ring):
-        raise TypeError(f"ring must be Ring.Z or Ring.Q, got {ring!r}")
+        raise TypeError(f"ring must be Ring.Z or Ring.Q, got {short_repr(ring)}")
     _require_integral(f)
     if not f:
         return f
@@ -80,13 +80,21 @@ class BalancedClass:
     def __post_init__(self):
         rep = self.representative
         if not isinstance(rep, LaurentPoly):
-            raise TypeError(f"a representative must be a LaurentPoly, got {rep!r}")
+            raise TypeError(f"a representative must be a LaurentPoly, got {short_repr(rep)}")
         if canonicalize(rep, self.ring) != rep:
             raise ValueError(f"{rep} is not the canonical {self.ring.value} representative")
 
     @classmethod
     def from_poly(cls, f: LaurentPoly, ring: Ring) -> BalancedClass:
-        return cls(canonicalize(f, ring), ring)
+        """The class of any member f.
+
+        Its representative is canonical by construction, so it is set
+        without the constructor's check, which would canonicalize again.
+        """
+        self = object.__new__(cls)
+        object.__setattr__(self, "representative", canonicalize(f, ring))
+        object.__setattr__(self, "ring", ring)
+        return self
 
     def contains(self, f: LaurentPoly) -> bool:
         return canonicalize(f, self.ring) == self.representative

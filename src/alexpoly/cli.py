@@ -77,7 +77,10 @@ def _cmd_alex(args) -> _Result:
 
 def _cmd_norm(args) -> _Result:
     pair = load_document(args.file, ("seifert_pair",))
-    data = NormalizedInput(pair, middle_condition=args.middle_injective == "true")
+    try:
+        data = NormalizedInput(pair, middle_condition=args.middle_injective == "true")
+    except ValueError as exc:  # p and n come from the file, so name it
+        raise InvalidDocument(f"{args.file}: {exc}") from None
     return _show(EXIT_OK, ("normalized", "normalized", normalized_alexander(data)))
 
 

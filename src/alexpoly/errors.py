@@ -1,4 +1,17 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the repr their messages use."""
+import reprlib
+
+# A message may quote a value from a document of up to 64 MiB, so it
+# shows the top level of a container only, at most six items, and cuts
+# each item's repr to 24 characters: under 250 characters in all.
+_SHORT = reprlib.Repr()
+_SHORT.maxlevel = 1
+_SHORT.maxstring = _SHORT.maxlong = _SHORT.maxother = 24
+
+
+def short_repr(value: object) -> str:
+    """The repr of value for an error message, cut to a bounded length."""
+    return _SHORT.repr(value)
 
 
 class AlexpolyError(Exception):

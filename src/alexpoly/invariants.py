@@ -28,7 +28,7 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .balance import BalancedClass, Ring, _require_integral
-from .errors import NotDivisible, PreconditionViolated, ShapeMismatch
+from .errors import NotDivisible, PreconditionViolated, ShapeMismatch, short_repr
 from .laurent import LaurentPoly, T_HALF_DIFF, T_MINUS_ONE, ZERO
 from .seifert import (
     SeifertPair, _corank_one_kernel, _require_square, intersection_form, pencil_det, transpose
@@ -73,7 +73,7 @@ class ArfData:
         object.__setattr__(self, "b", tuple(b))
         for v in self.a + self.b:
             if type(v) is not int:
-                raise TypeError(f"pairings must be ints, got {v!r}")
+                raise TypeError(f"pairings must be ints, got {short_repr(v)}")
         if nu < 1:
             raise ValueError("nu must be positive")
         if len(self.a) != nu or len(self.b) != nu:
@@ -135,17 +135,21 @@ def report(pair: SeifertPair) -> InvariantReport:
     )
 
 
-def _moments(f: LaurentPoly) -> tuple[list[int], list[int], list[int]]:
+def _moments(f: LaurentPoly) -> tuple[tuple[int, int], tuple[int, int], tuple[int, int]]:
     """Sums of c_k, k*c_k and k^2*c_k over the terms c_k*t^(k/2) of f,
-    each as [sum over even k, sum over odd k]."""
-    m0, m1, m2 = [0, 0], [0, 0], [0, 0]
+    each as (sum over even k, sum over odd k)."""
+    e0 = o0 = e1 = o1 = e2 = o2 = 0
     for k, c in f._terms.items():
-        odd = k & 1
-        m0[odd] += c
-        c *= k
-        m1[odd] += c
-        m2[odd] += k * c
-    return m0, m1, m2
+        kc = k * c
+        if k & 1:
+            o0 += c
+            o1 += kc
+            o2 += k * kc
+        else:
+            e0 += c
+            e1 += kc
+            e2 += k * kc
+    return (e0, o0), (e1, o1), (e2, o2)
 
 
 def _not_divisible(f: LaurentPoly, divisor) -> NotDivisible:

@@ -5,6 +5,10 @@ integer key k to a nonzero integer coefficient, the key k standing for
 t^(k/2).  Even keys are the ordinary integer powers of t, so Z[t, t^-1]
 and Z[t^(1/2), t^(-1/2)] share this one representation.  Coefficients are
 Python ints, hence arbitrary precision; nothing here ever touches floats.
+
+No polynomial stores a zero coefficient.  Sums and products delete each
+cancelled term inside their own loop, so they build the result in one
+pass (``_adopt``); ``_wrap`` drops the zeros of any other map.
 """
 from __future__ import annotations
 
@@ -160,9 +164,14 @@ class LaurentPoly:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         out = dict(self._terms)
+        get = out.get
         for k, c in other._terms.items():
-            out[k] = out.get(k, 0) + c
-        return _wrap(out)
+            v = get(k, 0) + c
+            if v:
+                out[k] = v
+            else:
+                del out[k]
+        return _adopt(out)
 
     __radd__ = __add__
 
@@ -175,9 +184,14 @@ class LaurentPoly:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         out = dict(self._terms)
+        get = out.get
         for k, c in other._terms.items():
-            out[k] = out.get(k, 0) - c
-        return _wrap(out)
+            v = get(k, 0) - c
+            if v:
+                out[k] = v
+            else:
+                del out[k]
+        return _adopt(out)
 
     def __rsub__(self, other: int) -> LaurentPoly:
         if not isinstance(other, int):
@@ -190,11 +204,16 @@ class LaurentPoly:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         out: dict[int, int] = {}
+        row = other._terms.items()
         for k, c in self._terms.items():
-            for j, d in other._terms.items():
+            for j, d in row:
                 e = k + j
-                out[e] = out.get(e, 0) + c * d
-        return _wrap(out)
+                v = out.get(e, 0) + c * d
+                if v:
+                    out[e] = v
+                else:
+                    del out[e]
+        return _adopt(out)
 
     __rmul__ = __mul__
 
@@ -306,17 +325,18 @@ class LaurentPoly:
     # -- rendering ----------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self._terms:
+        terms = self._terms
+        if not terms:
             return "0"
         parts = []
-        for k in sorted(self._terms):
-            c = self._terms[k]
-            if k == 0:
-                parts.append(str(c))
-            elif k % 2 == 0:
+        for k in sorted(terms):
+            c = terms[k]
+            if k & 1:
+                parts.append(f"{c}*t^({k}/2)")
+            elif k:
                 parts.append(f"{c}*t^{k // 2}")
             else:
-                parts.append(f"{c}*t^({k}/2)")
+                parts.append(str(c))
         return " + ".join(parts)
 
     def __repr__(self) -> str:
@@ -341,14 +361,25 @@ def _parse_error(text: str) -> ValueError:
     return ValueError(f"{text!r} is not in canonical form")
 
 
+def _adopt(terms: dict[int, int]) -> LaurentPoly:
+    """The polynomial whose term map is terms, which holds no zero; takes it over."""
+    f = object.__new__(LaurentPoly)
+    f._terms = terms
+    return f
+
+
 def _wrap(terms: dict[int, int], f: LaurentPoly | None = None) -> LaurentPoly:
     """The polynomial whose terms are the nonzero entries of an int map.
 
-    The one place zero terms are dropped.  It takes the map over, so
-    callers pass one nobody else holds, and it checks no types: the
-    constructor and ``documents.laurent_from_doc`` check outside input
-    first, while the arithmetic, ``parse`` and ``balance.canonicalize``
-    pass maps they built from ints.  Fills f when given, else a new object.
+    Zero terms are dropped here, by one C-level test and, only when it
+    finds a zero, a filtering copy.  Sums and products do not come here
+    (see ``_adopt``); the maps that can hold a zero come from the
+    constructor, ``parse``, ``documents.laurent_from_doc`` and an int
+    operand 0.  It takes the map over, so callers pass one nobody else
+    holds, and it checks no types: the constructor and ``laurent_from_doc``
+    check outside input first, while the arithmetic, ``parse`` and
+    ``balance.canonicalize`` pass maps they built from ints.  Fills f when
+    given, else a new object.
     """
     if f is None:
         f = object.__new__(LaurentPoly)

@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import NotSquare, NotUnimodular, ShapeMismatch
+from .errors import NotSquare, NotUnimodular, ShapeMismatch, short_repr
 from .laurent import ONE, ZERO, LaurentPoly, T, T_HALF
 
 IntMatrix = tuple[tuple[int, ...], ...]
@@ -43,7 +43,7 @@ def _freeze(rows: Iterable[Iterable], kind: type, what: str) -> tuple[tuple, ...
     for row in out:
         for v in row:
             if type(v) is not kind:
-                raise TypeError(f"{what} entries must be {kind.__name__}s, got {v!r}")
+                raise TypeError(f"{what} entries must be {kind.__name__}s, got {short_repr(v)}")
     if out and any(len(r) != len(out[0]) for r in out):
         raise ShapeMismatch("rows have unequal lengths")
     return out
@@ -180,7 +180,7 @@ class SeifertPair:
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "n", n)
         if type(p) is not int or type(n) is not int:
-            raise TypeError(f"p and n must be ints, got p={p!r}, n={n!r}")
+            raise TypeError(f"p and n must be ints, got p={short_repr(p)}, n={short_repr(n)}")
         if self.shape != (len(self.N), len(self.N[0]) if self.N else 0):
             raise ShapeMismatch("S and N must have identical shape")
         if n < 1 or not 0 <= p <= n + 1:

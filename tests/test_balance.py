@@ -96,6 +96,19 @@ class TestBalancedClass:
         assert [BalancedClass(c.representative, Ring.Z) for c in made] == made
         assert find_representatives(*made).shifts == ((1, 1), (1, 0), (-1, 0))
 
+    @pytest.mark.parametrize("ring", list(Ring))
+    def test_from_poly_canonicalizes_once(self, monkeypatch, ring):
+        calls = []
+
+        def counted(f, ring):
+            calls.append(f)
+            return canonicalize(f, ring)
+
+        monkeypatch.setattr("alexpoly.balance.canonicalize", counted)
+        c = BalancedClass.from_poly(-3 * T**2 * (T - 1), ring)
+        assert calls == [-3 * T**2 * (T - 1)]
+        assert BalancedClass(c.representative, ring) == c
+
 
 def _random_unit_multiple(rng, f):
     sign = rng.choice((1, -1))

@@ -73,8 +73,11 @@ def test_norm_middle_flag(tmp_path, capsys):
     assert "normalized: 0" in capsys.readouterr().out
 
 
-def test_norm_rejects_wrong_dimensions(tmp_path, capsys):
-    assert main(["norm", write(tmp_path, "p.json", PAIR_4)]) == 2
+def test_norm_rejects_wrong_dimensions(tmp_path):
+    path = write(tmp_path, "p.json", PAIR_4)
+    assert _run(["norm", path]) == (
+        2, "", f"error: {path}: need n = 4k+1 and p = 2k+1, got p=1, n=2\n"
+    )
 
 
 def test_skein_pass(tmp_path, capsys):
@@ -410,6 +413,24 @@ def test_every_load_failure_names_the_file(tmp_path, monkeypatch, case):
 def test_unhashable_kind_is_input_error(tmp_path, kind):
     path = write(tmp_path, "doc.json", {"kind": kind})
     assert _run(["alink", path]) == (2, "", f"error: {path}: unknown document kind {kind!r}\n")
+
+
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        ("arf", {"kind": "arf", "a": [[0] * 300_000], "b": [1]}),
+        ("alex", {**PAIR_4, "p": [0] * 300_000}),
+        ("alex", {**PAIR_4, "S": [[[0] * 300_000]]}),
+    ],
+    ids=["arf-entry", "p", "matrix-entry"],
+)
+def test_value_type_error_quotes_a_bounded_repr(tmp_path, command, doc):
+    """A message quotes a bad value cut short, not the whole 900 KB list."""
+    path = write(tmp_path, "doc.json", doc)
+    code, out, err = _run([command, path])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path}: ") and "[0, 0, 0, 0, 0, 0, ...]" in err, err[:300]
+    assert len(err.splitlines()) == 1 and len(err.encode()) < 300, err[:300]
 
 
 def test_not_square_is_precondition_error(tmp_path, capsys):

@@ -527,6 +527,54 @@ def test_parse_matches_oracle_randomized():
         assert outcomes["digit limit"] > 200
 
 
+def _dict_sum_oracle(f: LaurentPoly, g: LaurentPoly, sign: int = 1) -> LaurentPoly:
+    """f + sign*g added term by term on raw dicts."""
+    out = f.terms
+    for k, c in g.terms.items():
+        out[k] = out.get(k, 0) + sign * c
+    return LaurentPoly(out)
+
+
+def _assert_stored_without_zeros(h: LaurentPoly, oracle: LaurentPoly) -> None:
+    assert 0 not in h._terms.values(), h._terms
+    assert h == oracle and hash(h) == hash(oracle)
+
+
+# Sparse: a few terms far apart; dense: many terms on a short span.
+_SHAPES = [
+    dict(max_terms=6, halfexp_lo=-200, halfexp_hi=200),
+    dict(max_terms=40, halfexp_lo=-20, halfexp_hi=20),
+]
+
+
+def test_cancelled_terms_are_never_stored_randomized():
+    """Sums and products whose terms cancel, in part or in whole, keep no 0.
+
+    g repeats about half of f's terms negated, so f + g cancels them, and
+    (g + f)*(g - f) cancels its cross terms inside the product.
+    """
+    _assert_stored_without_zeros((1 + T) * (1 - T), LaurentPoly({0: 1, 4: -1}))
+    _assert_stored_without_zeros((1 + T) * (1 - T), 1 - T**2)
+    rng = random.Random(SEED + 11)
+    for case in range(CASES):
+        shape = _SHAPES[case % 2]
+        integral = case % 4 < 2
+        f = random_poly(rng, integral=integral, **shape)
+        planted = {k: -c for k, c in f.terms.items() if rng.random() < 0.5}
+        g = LaurentPoly({**random_poly(rng, integral=integral, **shape).terms, **planted})
+        _assert_stored_without_zeros(f - f, ZERO)
+        _assert_stored_without_zeros(f + (-f), ZERO)
+        _assert_stored_without_zeros(f + g, _dict_sum_oracle(f, g))
+        _assert_stored_without_zeros((f + g) - g, f)
+        _assert_stored_without_zeros(f - g, _dict_sum_oracle(f, g, -1))
+        for divisor, high, low in ((T_MINUS_ONE, 2, 0), (T_HALF_DIFF, 1, -1)):
+            h = divisor * f
+            _assert_stored_without_zeros(h, dict_product_oracle(divisor, f))
+            _assert_stored_without_zeros(h, f.shift(high) - f.shift(low))
+        _assert_stored_without_zeros((g + f) * (g - f), dict_product_oracle(g + f, g - f))
+        _assert_stored_without_zeros((g + f) * (g - f), g * g - f * f)
+
+
 def test_mul_matches_dict_oracle_randomized():
     rng = random.Random(SEED + 5)
     for _ in range(CASES):
