@@ -12,7 +12,7 @@ import enum
 from dataclasses import dataclass
 
 from .errors import NonIntegerExponent, short_repr
-from .laurent import LaurentPoly, _wrap
+from .laurent import LaurentPoly, _adopt
 
 
 class Ring(enum.Enum):
@@ -63,7 +63,7 @@ def canonicalize(f: LaurentPoly, ring: Ring) -> LaurentPoly:
         scale = -scale
     if scale == 1:
         return f if low == 0 else f.shift(-low)
-    return _wrap({k - low: v // scale for k, v in terms.items()})
+    return _adopt({k - low: v // scale for k, v in terms.items()})
 
 
 @dataclass(frozen=True)

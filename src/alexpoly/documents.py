@@ -30,9 +30,9 @@ import json
 from dataclasses import dataclass
 from typing import Any
 
-from .errors import AlexpolyError, InvalidDocument
+from .errors import AlexpolyError, InvalidDocument, short_repr
 from .invariants import ArfData
-from .laurent import LaurentPoly, _wrap
+from .laurent import LaurentPoly
 from .seifert import SeifertPair
 
 
@@ -75,32 +75,43 @@ def _require_kind(obj: Any, kind: str) -> None:
     for key in keys:
         _require(key in obj, f"{kind} document needs {key!r}")
     for key in obj:
-        _require(key in keys, f"{kind} document has an unknown key {key!r}")
+        if key not in keys:
+            raise InvalidDocument(f"{kind} document has an unknown key {short_repr(key)}")
 
 
 def _require_halfexp_cap(halfexp: int) -> None:
     """Raise InvalidDocument when |halfexp| exceeds MAX_HALF_EXPONENT."""
-    _require(
-        abs(halfexp) <= MAX_HALF_EXPONENT,
-        f"half-exponent {halfexp} is past the cap of {MAX_HALF_EXPONENT}",
-    )
+    if abs(halfexp) > MAX_HALF_EXPONENT:
+        raise InvalidDocument(f"half-exponent {halfexp} is past the cap of {MAX_HALF_EXPONENT}")
+
+
+def _build(kind: str, make, *args):
+    """make(*args), with a value type's refusal as an invalid kind document."""
+    try:
+        return make(*args)
+    except (AlexpolyError, ValueError, TypeError) as exc:
+        raise InvalidDocument(f"bad {kind} document: {exc}") from None
 
 
 def laurent_from_doc(obj: Any) -> LaurentPoly:
+    """The polynomial of a laurent document; LaurentPoly checks the coefficients."""
     _require_kind(obj, "laurent")
     terms = obj["terms"]
-    _require(isinstance(terms, dict), "laurent document needs a terms object")
+    if not isinstance(terms, dict):
+        raise InvalidDocument("laurent document needs a terms object")
     out = {}
     for key, coeff in terms.items():
         try:
             halfexp = int(key)
         except (TypeError, ValueError):
-            raise InvalidDocument(f"bad half-exponent key {key!r}") from None
-        _require(key == str(halfexp), f"bad half-exponent key {key!r}")
-        _require_halfexp_cap(halfexp)
-        _require(type(coeff) is int, f"coefficient for key {key!r} must be an integer")
+            halfexp = None
+        if halfexp is None or key != str(halfexp):
+            raise InvalidDocument(f"bad half-exponent key {short_repr(key)}")
         out[halfexp] = coeff
-    return _wrap(out)
+    if out:
+        _require_halfexp_cap(min(out))
+        _require_halfexp_cap(max(out))
+    return _build("laurent", LaurentPoly, out)
 
 
 def laurent_from_text(text: str) -> LaurentPoly:
@@ -136,10 +147,7 @@ def seifert_pair_from_doc(obj: Any) -> SeifertPair:
             all(type(v) is not int or abs(v) <= MAX_MATRIX_ENTRY for row in rows for v in row),
             f"{key} has an entry past the cap of {MAX_MATRIX_ENTRY}",
         )
-    try:
-        return SeifertPair(obj["S"], obj["N"], obj["p"], obj["n"])
-    except (AlexpolyError, ValueError, TypeError) as exc:
-        raise InvalidDocument(f"bad seifert_pair document: {exc}") from None
+    return _build("seifert_pair", SeifertPair, obj["S"], obj["N"], obj["p"], obj["n"])
 
 
 def triple_from_doc(obj: Any) -> Triple:
@@ -154,10 +162,7 @@ def arf_from_doc(obj: Any) -> ArfData:
     _require_kind(obj, "arf")
     for key in ("a", "b"):
         _require(isinstance(obj.get(key), list), f"arf document needs a list {key!r}")
-    try:
-        return ArfData(len(obj["a"]), obj["a"], obj["b"])
-    except (AlexpolyError, ValueError, TypeError) as exc:
-        raise InvalidDocument(f"bad arf document: {exc}") from None
+    return _build("arf", ArfData, len(obj["a"]), obj["a"], obj["b"])
 
 
 # Each kind's keys, and the parser that turns such a document into a value.
@@ -173,7 +178,7 @@ def parse_document(obj: Any) -> SeifertPair | LaurentPoly | Triple | ArfData:
     """The value a decoded document of any kind stands for."""
     _require(isinstance(obj, dict), "document must be a JSON object")
     kind = obj.get("kind")
-    _require(isinstance(kind, str) and kind in _KINDS, f"unknown document kind {kind!r}")
+    _require(isinstance(kind, str) and kind in _KINDS, f"unknown document kind {short_repr(kind)}")
     return _KINDS[kind][1](obj)
 
 

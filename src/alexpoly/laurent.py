@@ -6,19 +6,21 @@ t^(k/2).  Even keys are the ordinary integer powers of t, so Z[t, t^-1]
 and Z[t^(1/2), t^(-1/2)] share this one representation.  Coefficients are
 Python ints, hence arbitrary precision; nothing here ever touches floats.
 
-No polynomial stores a zero coefficient.  Sums and products delete each
-cancelled term inside their own loop, so they build the result in one
-pass (``_adopt``); ``_wrap`` drops the zeros of any other map.
+No polynomial stores a zero coefficient.  The constructor checks a map
+from outside and drops its zeros.  Sums and products delete each
+cancelled term in their own loop, and every other result is built from
+nonzero ints, so each takes its one map over as is (``_adopt``).
 """
 from __future__ import annotations
 
 import math
 import re
+from collections.abc import Mapping
 from functools import reduce
 from heapq import heappop, heappush
 from operator import index, or_
 
-from .errors import NotDivisible
+from .errors import NotDivisible, short_repr
 
 # One term of the grammar: c, c*t^n or c*t^(k/2).  Only parse() errors use it.
 _TERM = re.compile(r"(-?\d+)(?:\*t\^(?:(-?\d+)|\((-?\d+)/2\)))?", re.ASCII)
@@ -27,8 +29,8 @@ _TERM = re.compile(r"(-?\d+)(?:\*t\^(?:(-?\d+)|\((-?\d+)/2\)))?", re.ASCII)
 class LaurentPoly:
     """An integer Laurent polynomial on the t^(1/2) exponent grid.
 
-    Construct from a map of half-exponents to coefficients (zero values
-    are dropped), or via the helpers below.
+    Construct from None or a mapping of half-exponents to coefficients,
+    both ints (zero values are dropped), or via the helpers below.
 
     >>> LaurentPoly({2: 1, 0: -1})
     LaurentPoly('-1 + 1*t^1')
@@ -40,12 +42,18 @@ class LaurentPoly:
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: dict[int, int] | None = None):
-        terms = dict(terms) if terms else {}
+    def __init__(self, terms: Mapping[int, int] | None = None):
+        self._terms = out = {}
+        if terms is None:
+            return
+        if not isinstance(terms, Mapping):
+            raise TypeError(f"terms must be a mapping or None, not {type(terms).__name__}")
         for k, c in terms.items():
             if type(k) is not int or type(c) is not int:
-                raise TypeError("half-exponents and coefficients must be ints")
-        _wrap(terms, self)
+                term = f"{short_repr(k)}: {short_repr(c)}"
+                raise TypeError(f"term {term}: half-exponent and coefficient must be an integer")
+            if c:
+                out[k] = c
 
     # -- constructors ----------------------------------------------------
 
@@ -91,16 +99,19 @@ class LaurentPoly:
         try:
             for part in text.split(" + "):
                 coeff, star, exp = part.partition("*t^")
+                c = int(coeff)
+                if not c:
+                    continue
                 if not star:
-                    terms[0] = int(coeff)
+                    terms[0] = c
                 elif exp[:1] == "(":
-                    terms[int(exp[1:-3])] = int(coeff)
+                    terms[int(exp[1:-3])] = c
                 else:
-                    terms[2 * int(exp)] = int(coeff)
+                    terms[2 * int(exp)] = c
         except ValueError:
             pass
         else:
-            f = _wrap(terms)
+            f = _adopt(terms)
             if str(f) == text:
                 return f
         raise _parse_error(text)
@@ -160,7 +171,7 @@ class LaurentPoly:
 
     def __add__(self, other: int | LaurentPoly) -> LaurentPoly:
         if isinstance(other, int):  # a bool counts as its int, as in __mul__
-            other = _wrap({0: int(other)})
+            other = LaurentPoly.constant(other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         out = dict(self._terms)
@@ -176,11 +187,11 @@ class LaurentPoly:
     __radd__ = __add__
 
     def __neg__(self) -> LaurentPoly:
-        return _wrap({k: -c for k, c in self._terms.items()})
+        return _adopt({k: -c for k, c in self._terms.items()})
 
     def __sub__(self, other: int | LaurentPoly) -> LaurentPoly:
         if isinstance(other, int):
-            other = _wrap({0: int(other)})
+            other = LaurentPoly.constant(other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         out = dict(self._terms)
@@ -200,7 +211,7 @@ class LaurentPoly:
 
     def __mul__(self, other: int | LaurentPoly) -> LaurentPoly:
         if isinstance(other, int):
-            return _wrap({k: c * other for k, c in self._terms.items()})
+            return _adopt({k: c * other for k, c in self._terms.items()} if other else {})
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         out: dict[int, int] = {}
@@ -224,7 +235,7 @@ class LaurentPoly:
             if len(self._terms) == 1:
                 ((k, c),) = self._terms.items()
                 if c in (1, -1):
-                    return _wrap({-k: c}) ** (-n)
+                    return _adopt({-k: c}) ** (-n)
             raise ValueError("only unit monomials have negative powers")
         if n == 0:
             return LaurentPoly.constant(1)
@@ -235,7 +246,7 @@ class LaurentPoly:
         """Multiply by the monomial t^(halfexp/2)."""
         if not isinstance(halfexp, int):
             raise TypeError(f"a shift must be an int, got {halfexp!r}")
-        return _wrap({k + halfexp: c for k, c in self._terms.items()})
+        return _adopt({k + halfexp: c for k, c in self._terms.items()})
 
     def exact_div(self, other: int | LaurentPoly) -> LaurentPoly:
         """Exact quotient q with self = q * other over the integers.
@@ -259,7 +270,7 @@ class LaurentPoly:
         LaurentPoly('-1 + 2*t^1')
         """
         if isinstance(other, int):
-            other = _wrap({0: int(other)})
+            other = LaurentPoly.constant(other)
         elif not isinstance(other, LaurentPoly):
             raise TypeError(f"cannot divide by {type(other).__name__}")
         if not other:
@@ -294,7 +305,7 @@ class LaurentPoly:
                         rem[e] = v
                     else:
                         del rem[e]
-        return _wrap(quot)
+        return _adopt(quot)
 
     def __floordiv__(self, other: int | LaurentPoly) -> LaurentPoly:
         """Exact quotient, as ``exact_div``; an int divisor is a constant.
@@ -316,7 +327,7 @@ class LaurentPoly:
 
     def invert_variable(self) -> LaurentPoly:
         """Substitute t -> t^-1 (negate every exponent)."""
-        return _wrap({-k: c for k, c in self._terms.items()})
+        return _adopt({-k: c for k, c in self._terms.items()})
 
     def is_inversion_symmetric(self) -> bool:
         """True iff the polynomial is unchanged under t -> t^-1."""
@@ -362,29 +373,8 @@ def _parse_error(text: str) -> ValueError:
 
 
 def _adopt(terms: dict[int, int]) -> LaurentPoly:
-    """The polynomial whose term map is terms, which holds no zero; takes it over."""
+    """The polynomial of terms, a new map of ints onto nonzero ints; takes it over unchecked."""
     f = object.__new__(LaurentPoly)
-    f._terms = terms
-    return f
-
-
-def _wrap(terms: dict[int, int], f: LaurentPoly | None = None) -> LaurentPoly:
-    """The polynomial whose terms are the nonzero entries of an int map.
-
-    Zero terms are dropped here, by one C-level test and, only when it
-    finds a zero, a filtering copy.  Sums and products do not come here
-    (see ``_adopt``); the maps that can hold a zero come from the
-    constructor, ``parse``, ``documents.laurent_from_doc`` and an int
-    operand 0.  It takes the map over, so callers pass one nobody else
-    holds, and it checks no types: the constructor and ``laurent_from_doc``
-    check outside input first, while the arithmetic, ``parse`` and
-    ``balance.canonicalize`` pass maps they built from ints.  Fills f when
-    given, else a new object.
-    """
-    if f is None:
-        f = object.__new__(LaurentPoly)
-    if 0 in terms.values():
-        terms = {k: c for k, c in terms.items() if c}
     f._terms = terms
     return f
 

@@ -433,6 +433,31 @@ def test_value_type_error_quotes_a_bounded_repr(tmp_path, command, doc):
     assert len(err.splitlines()) == 1 and len(err.encode()) < 300, err[:300]
 
 
+@pytest.mark.parametrize(
+    "doc, reason",
+    [
+        ({"kind": list(range(300_000))}, "unknown document kind [0, 1, 2, 3, 4, 5, ...]"),
+        (
+            {"kind": "laurent", "terms": {}, "k" * 300_000: 0},
+            "unknown key 'kkkkkkkkk...kkkkkkkkkk'",
+        ),
+        (
+            {"kind": "laurent", "terms": {"1" * 300_000: 1}},
+            "bad half-exponent key '111111111...1111111111'",
+        ),
+    ],
+    ids=["kind", "unknown-key", "term-key"],
+)
+def test_document_error_quotes_a_bounded_repr(tmp_path, doc, reason):
+    """A long kind or key is quoted cut short, not as a 300 KB line."""
+    path = write(tmp_path, "doc.json", doc)
+    code, out, err = _run(["alink", path])
+    assert (code, out) == (2, "")
+    prefix = f"error: {path}: "
+    assert err.startswith(prefix) and err.endswith(f"{reason}\n"), err[:300]
+    assert len(err.splitlines()) == 1 and len(err[len(prefix):].encode()) < 300, err[:300]
+
+
 def test_not_square_is_precondition_error(tmp_path, capsys):
     doc = {"kind": "seifert_pair", "p": 1, "n": 2, "S": [[1, 0]], "N": [[0, 0]]}
     assert main(["alex", write(tmp_path, "p.json", doc)]) == 3

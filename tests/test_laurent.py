@@ -7,12 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alexpoly import LaurentPoly, NotDivisible, ONE, T, T_HALF, ZERO
+from alexpoly import (
+    LaurentPoly, NotDivisible, ONE, Ring, SeifertPair, T, T_HALF, ZERO, canonicalize
+)
+from alexpoly.documents import laurent_from_doc
 from alexpoly.laurent import T_HALF_DIFF, T_MINUS_ONE
+from alexpoly.seifert import pencil_det
 from conftest import (
     dict_product_oracle,
     exact_div_oracle,
     parse_oracle,
+    random_int_matrix,
     random_nonzero_poly,
     random_poly,
 )
@@ -211,6 +216,22 @@ class TestConstructor:
     def test_rejects_bool_half_exponent(self):
         with pytest.raises(TypeError):
             LaurentPoly({True: 1})
+
+    def test_none_and_empty_mappings_are_zero(self):
+        assert LaurentPoly() == LaurentPoly(None) == LaurentPoly({}) == ZERO
+
+    # Falsy arguments used to pass as the zero polynomial; a list of pairs
+    # went through dict().
+    @pytest.mark.parametrize("terms", [0, False, "", 5, [(0, 1)], ()], ids=repr)
+    def test_rejects_a_non_mapping(self, terms):
+        with pytest.raises(TypeError, match=f"not {type(terms).__name__}$"):
+            LaurentPoly(terms)
+
+    def test_bad_term_error_quotes_a_bounded_repr(self):
+        with pytest.raises(TypeError, match="must be an integer") as info:
+            LaurentPoly({0: 1, 2: [0] * 300_000})
+        assert str(info.value).startswith("term 2: [0, 0, 0, 0, 0, 0, ...]: ")
+        assert len(str(info.value)) < 100
 
 
 class TestBoolOperands:
@@ -573,6 +594,71 @@ def test_cancelled_terms_are_never_stored_randomized():
             _assert_stored_without_zeros(h, f.shift(high) - f.shift(low))
         _assert_stored_without_zeros((g + f) * (g - f), dict_product_oracle(g + f, g - f))
         _assert_stored_without_zeros((g + f) * (g - f), g * g - f * f)
+
+
+def _without_zeros(h: LaurentPoly) -> LaurentPoly:
+    assert type(h) is LaurentPoly and 0 not in h._terms.values(), h._terms
+    return h
+
+
+def _singular_pair(rng: random.Random, n: int) -> SeifertPair:
+    """A pair whose last column is the same combination of the others in S and N."""
+    weights = [rng.randint(-2, 2) for _ in range(n - 1)]
+    s, nm = ([list(row) for row in random_int_matrix(rng, n, n)] for _ in range(2))
+    for m in (s, nm):
+        for row in m:
+            row[-1] = sum(w * v for w, v in zip(weights, row))
+    return SeifertPair(s, nm, 1, 2)
+
+
+_UNITS = [ONE, -ONE, T, -T_HALF, LaurentPoly.half_power(-3), -LaurentPoly.t_power(-2)]
+
+
+def test_no_operation_stores_a_zero_randomized():
+    """No public operation returns a polynomial that holds a zero term.
+
+    Results built from a polynomial's own nonzero ints are taken over
+    unchecked, so this guards every such path; outside maps with zeros
+    go through the constructor, its helpers and the document loader.
+    """
+    assert _without_zeros(LaurentPoly.parse("0")) == ZERO
+    for text in ("1 + 0*t^1", "0*t^-1 + 1", "0 + 1*t^(1/2)", "0*t^(1/2)"):
+        with pytest.raises(ValueError, match="not in canonical form"):
+            LaurentPoly.parse(text)
+    rng = random.Random(SEED + 13)
+    for case in range(CASES):
+        integral = case % 2 == 0
+        f, g = (random_poly(rng, integral=integral) for _ in range(2))
+        n = rng.randint(-9, 9)
+        for other in (g, -f, f, n, 0, True, False):
+            for h in (f + other, other + f, f - other, other - f, f * other, other * f):
+                _without_zeros(h)
+        shift = rng.randint(-5, 5)
+        for h in (-f, f.shift(shift), f.invert_variable(), f ** rng.randint(0, 3)):
+            _without_zeros(h)
+        _without_zeros(rng.choice(_UNITS) ** rng.randint(-3, -1))
+        for divisor in (g, rng.choice([-3, -1, 1, 2, True])):
+            if divisor:
+                assert _without_zeros((f * divisor).exact_div(divisor)) == f
+                assert _without_zeros((f * divisor) // divisor) == f
+        if integral:
+            for ring in Ring:
+                _without_zeros(canonicalize(f * n, ring))
+                _without_zeros(canonicalize(f.shift(2 * shift), ring))
+        assert _without_zeros(LaurentPoly.parse(str(f))) == f
+        raw = {rng.randint(-6, 6): rng.randint(-2, 2) for _ in range(rng.randrange(8))}
+        nonzero = {k: c for k, c in raw.items() if c}
+        assert _without_zeros(LaurentPoly(raw))._terms == nonzero
+        doc = {"kind": "laurent", "terms": {str(k): c for k, c in raw.items()}}
+        assert _without_zeros(laurent_from_doc(doc))._terms == nonzero
+        c, k = rng.randint(-1, 1), rng.randint(-4, 4)
+        for h in (LaurentPoly.constant(c), LaurentPoly.t_power(k), LaurentPoly.half_power(k)):
+            _without_zeros(h)
+    for n in range(1, 7):
+        for _ in range(10):
+            assert _without_zeros(pencil_det(_singular_pair(rng, n))) == ZERO
+            s, nm = random_int_matrix(rng, n, n), random_int_matrix(rng, n, n)
+            _without_zeros(pencil_det(SeifertPair(s, nm, 1, 2)))
 
 
 def test_mul_matches_dict_oracle_randomized():
