@@ -24,7 +24,7 @@ class Ring(enum.Enum):
 
 def _require_integral(f: LaurentPoly) -> None:
     if not f.is_integral():
-        raise NonIntegerExponent(f"{f} has half powers of t")
+        raise NonIntegerExponent(f"{short_repr(f)} has half powers of t")
 
 
 def z_balanced_eq(f: LaurentPoly, g: LaurentPoly) -> bool:
@@ -82,7 +82,7 @@ class BalancedClass:
         if not isinstance(rep, LaurentPoly):
             raise TypeError(f"a representative must be a LaurentPoly, got {short_repr(rep)}")
         if canonicalize(rep, self.ring) != rep:
-            raise ValueError(f"{rep} is not the canonical {self.ring.value} representative")
+            raise ValueError(f"{short_repr(rep)} is not the canonical {self.ring.value} representative")
 
     @classmethod
     def from_poly(cls, f: LaurentPoly, ring: Ring) -> BalancedClass:

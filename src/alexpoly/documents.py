@@ -82,7 +82,7 @@ def _require_kind(obj: Any, kind: str) -> None:
 def _require_halfexp_cap(halfexp: int) -> None:
     """Raise InvalidDocument when |halfexp| exceeds MAX_HALF_EXPONENT."""
     if abs(halfexp) > MAX_HALF_EXPONENT:
-        raise InvalidDocument(f"half-exponent {halfexp} is past the cap of {MAX_HALF_EXPONENT}")
+        raise InvalidDocument(f"half-exponent {short_repr(halfexp)} is past the cap of {MAX_HALF_EXPONENT}")
 
 
 def _build(kind: str, make, *args):

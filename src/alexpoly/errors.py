@@ -1,10 +1,20 @@
 """Exception types shared across the package, and the repr their messages use."""
 import reprlib
 
-# A message may quote a value from a document of up to 64 MiB, so it
-# shows the top level of a container only, at most six items, and cuts
-# each item's repr to 24 characters: under 250 characters in all.
-_SHORT = reprlib.Repr()
+
+class _ShortRepr(reprlib.Repr):
+    # A message may quote a value from a document of up to 64 MiB, so no
+    # quote grows with its value.  A container shows its top level only, at
+    # most six items, and each item's repr is cut to 24 characters.  A
+    # polynomial is quoted as its canonical text, whole up to 2,000
+    # characters, else its first and last 1,000 around " ... ".  reprlib
+    # dispatches on the type's name, so this module imports no value type.
+    def repr_LaurentPoly(self, f, level):
+        text = str(f)
+        return text if len(text) <= 2000 else f"{text[:1000]} ... {text[-1000:]}"
+
+
+_SHORT = _ShortRepr()
 _SHORT.maxlevel = 1
 _SHORT.maxstring = _SHORT.maxlong = _SHORT.maxother = 24
 

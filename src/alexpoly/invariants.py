@@ -52,10 +52,10 @@ class NormalizedInput:
 
     def __post_init__(self):
         if type(self.middle_condition) is not bool:
-            raise TypeError(f"middle_condition must be a bool, got {self.middle_condition!r}")
+            raise TypeError(f"middle_condition must be a bool, got {short_repr(self.middle_condition)}")
         n, p = self.pair.n, self.pair.p
         if n % 4 != 1 or 2 * p != n + 1:
-            raise ValueError(f"need n = 4k+1 and p = 2k+1, got p={p}, n={n}")
+            raise ValueError(f"need n = 4k+1 and p = 2k+1, got p={short_repr(p)}, n={short_repr(n)}")
         _require_square(self.pair.S)
 
 
@@ -78,7 +78,7 @@ class ArfData:
             raise ValueError("nu must be positive")
         if len(self.a) != nu or len(self.b) != nu:
             raise ShapeMismatch(
-                f"need {nu} pairings per list, got {len(self.a)} and {len(self.b)}"
+                f"need {short_repr(nu)} pairings per list, got {len(self.a)} and {len(self.b)}"
             )
 
 
@@ -153,7 +153,7 @@ def _moments(f: LaurentPoly) -> tuple[tuple[int, int], tuple[int, int], tuple[in
 
 
 def _not_divisible(f: LaurentPoly, divisor) -> NotDivisible:
-    return NotDivisible(f"{f} is not divisible by {divisor}")
+    return NotDivisible(f"{short_repr(f)} is not divisible by {divisor}")
 
 
 def pseudo_alinking_from_poly(delta: LaurentPoly) -> int:

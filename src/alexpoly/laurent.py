@@ -245,7 +245,7 @@ class LaurentPoly:
     def shift(self, halfexp: int) -> LaurentPoly:
         """Multiply by the monomial t^(halfexp/2)."""
         if not isinstance(halfexp, int):
-            raise TypeError(f"a shift must be an int, got {halfexp!r}")
+            raise TypeError(f"a shift must be an int, got {short_repr(halfexp)}")
         return _adopt({k + halfexp: c for k, c in self._terms.items()})
 
     def exact_div(self, other: int | LaurentPoly) -> LaurentPoly:
@@ -291,7 +291,7 @@ class LaurentPoly:
                 continue
             c, residue = divmod(v, g_low)
             if residue or r > last:
-                raise NotDivisible(f"{self} is not divisible by {other}")
+                raise NotDivisible(f"{short_repr(self)} is not divisible by {short_repr(other)}")
             quot[r - g_min] = c
             for d, gc in steps:
                 e = r + d

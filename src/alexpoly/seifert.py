@@ -184,7 +184,7 @@ class SeifertPair:
         if self.shape != (len(self.N), len(self.N[0]) if self.N else 0):
             raise ShapeMismatch("S and N must have identical shape")
         if n < 1 or not 0 <= p <= n + 1:
-            raise ValueError(f"need n >= 1 and 0 <= p <= n+1, got p={p}, n={n}")
+            raise ValueError(f"need n >= 1 and 0 <= p <= n+1, got p={short_repr(p)}, n={short_repr(n)}")
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -217,7 +217,7 @@ class UnimodularPair:
         object.__setattr__(self, "Q", as_int_matrix(Q))
         for name, m in (("P", self.P), ("Q", self.Q)):
             if abs(d := int_det(m)) != 1:
-                raise NotUnimodular(f"{name} has determinant {d}")
+                raise NotUnimodular(f"{name} has determinant {short_repr(d)}")
 
 
 # -- matrix constructions -----------------------------------------------------
@@ -313,7 +313,8 @@ def check_duality(pair_a: SeifertPair, pair_b: SeifertPair) -> bool:
     """
     if pair_a.n != pair_b.n or pair_b.p != pair_a.n + 1 - pair_a.p:
         raise ShapeMismatch(
-            f"degrees (p={pair_a.p}, n={pair_a.n}) and (p={pair_b.p}, n={pair_b.n}) are not complementary"
+            f"degrees (p={short_repr(pair_a.p)}, n={short_repr(pair_a.n)}) and "
+            f"(p={short_repr(pair_b.p)}, n={short_repr(pair_b.n)}) are not complementary"
         )
     rows, cols = pair_a.shape
     if pair_b.shape != (cols, rows):
@@ -324,7 +325,7 @@ def check_duality(pair_a: SeifertPair, pair_b: SeifertPair) -> bool:
 def check_mars_symmetry(s: IntMatrix, m: int) -> bool:
     """Whether S = (-1)^m * transpose(S) for a square integer matrix and an int m."""
     if type(m) is not int:
-        raise TypeError(f"m must be an int, got {m!r}")
+        raise TypeError(f"m must be an int, got {short_repr(m)}")
     s = as_int_matrix(s)
     _require_square(s, "cannot be compared with its transpose")
     return s == _signed_transpose(s, (-1) ** m)

@@ -445,8 +445,16 @@ def test_value_type_error_quotes_a_bounded_repr(tmp_path, command, doc):
             {"kind": "laurent", "terms": {"1" * 300_000: 1}},
             "bad half-exponent key '111111111...1111111111'",
         ),
+        (
+            {"kind": "laurent", "terms": {"1" * 4000: 1}},
+            "half-exponent 1111111111...11111111111 is past the cap of 100000",
+        ),
+        (
+            {**PAIR_4, "p": -(10**4000)},
+            "need n >= 1 and 0 <= p <= n+1, got p=-100000000...00000000000, n=2",
+        ),
     ],
-    ids=["kind", "unknown-key", "term-key"],
+    ids=["kind", "unknown-key", "term-key", "term-key-past-cap", "pair-p"],
 )
 def test_document_error_quotes_a_bounded_repr(tmp_path, doc, reason):
     """A long kind or key is quoted cut short, not as a 300 KB line."""
@@ -456,6 +464,31 @@ def test_document_error_quotes_a_bounded_repr(tmp_path, doc, reason):
     prefix = f"error: {path}: "
     assert err.startswith(prefix) and err.endswith(f"{reason}\n"), err[:300]
     assert len(err.splitlines()) == 1 and len(err[len(prefix):].encode()) < 300, err[:300]
+
+
+@pytest.mark.parametrize(
+    "command, half_powers",
+    [("alink", False), ("skein", True), ("find-reps", True), ("alink", True)],
+    ids=["alink-not-divisible", "skein-half-powers", "find-reps-half-powers", "alink-half-powers"],
+)
+def test_oversized_polynomial_error_is_one_bounded_line(tmp_path, command, half_powers):
+    """A refused polynomial of 50,001 or 100,001 terms is quoted by its two ends."""
+    if half_powers:
+        f = {"kind": "laurent", "terms": {str(k): 1 for k in range(-50_000, 50_001)}}
+        head = "NonIntegerExponent: 1*t^-25000 + 1*t^(-49999/2) + "
+        tail = " + 1*t^(49999/2) + 1*t^25000 has half powers of t\n"
+    else:
+        f = {"kind": "laurent", "terms": {str(k): 1 for k in range(0, MAX_HALF_EXPONENT + 1, 2)}}
+        head = "NotDivisible: 1 + 1*t^1 + "
+        tail = " + 1*t^49999 + 1*t^50000 is not divisible by -1 + 1*t^1\n"
+    doc = f if command == "alink" else {
+        "kind": "triple", "move": "pass", "plus": f, "minus": f, "zero": f,
+    }
+    code, out, err = _run([command, write(tmp_path, "doc.json", doc)])
+    assert (code, out) == (3, "")
+    assert err.startswith(f"error: {head}") and err.endswith(tail), err[:300]
+    assert err.count(" ... ") == 1 and len(err.splitlines()) == 1, err[:300]
+    assert len(err.encode()) <= 2100, len(err.encode())
 
 
 def test_not_square_is_precondition_error(tmp_path, capsys):
