@@ -7,11 +7,19 @@ class _ShortRepr(reprlib.Repr):
     # quote grows with its value.  A container shows its top level only, at
     # most six items, and each item's repr is cut to 24 characters.  A
     # polynomial is quoted as its canonical text, whole up to 2,000
-    # characters, else its first and last 1,000 around " ... ".  reprlib
+    # characters, else its first and last 1,000 around " ... ".  An int
+    # past the interpreter's int-to-text limit (sys.get_int_max_str_digits)
+    # has no repr, so it is quoted by its sign and bit length.  reprlib
     # dispatches on the type's name, so this module imports no value type.
     def repr_LaurentPoly(self, f, level):
         text = str(f)
         return text if len(text) <= 2000 else f"{text[:1000]} ... {text[-1000:]}"
+
+    def repr_int(self, x, level):
+        try:
+            return super().repr_int(x, level)
+        except ValueError:
+            return f"{'-' if x < 0 else ''}<{x.bit_length()}-bit int>"
 
 
 _SHORT = _ShortRepr()

@@ -14,11 +14,12 @@ each of its divisions is exact in either ring.
 
 - ``int_det`` runs it on an integer matrix, ``det`` on a matrix of
   Laurent polynomials, both through one body (``_det``);
-- ``pencil_det`` takes det(t*S - N) of size m from two integer
-  determinants of x*S - N, at x = 2^b and x = -2^b with b from a Hadamard
-  bound on the coefficients, and unpacks the coefficients from the two
-  values' binary digits (the normalized determinant is that polynomial
-  shifted);
+- ``pencil_det`` takes det(t*S - N) of size m from integer determinants
+  of x*S - N, with b from a Hadamard bound on the coefficients: from one
+  at x = 2^(2b) while m*b <= 512, where interpreter overhead outweighs
+  the big-integer work, else from two at x = 2^b and x = -2^b, whose
+  entries are half as long; it unpacks the coefficients from the values'
+  binary digits (the normalized determinant is that polynomial shifted);
 - ``_corank_one_kernel`` reads the kernel of an integer matrix such as
   S - N off it by back substitution.
 """
@@ -267,25 +268,32 @@ def _balanced_digits(value: int, width: int) -> list[int]:
 
 
 def pencil_det(pair: SeifertPair) -> LaurentPoly:
-    """det(t*S - N) of a square pair, by two-point Kronecker substitution.
+    """det(t*S - N) of a square pair, by Kronecker substitution.
 
     The determinant f is an integer polynomial of degree at most m in t,
     m the matrix size (not pair.n).  For |t| = 1, Hadamard's inequality
     bounds |f(t)|^2 by h2, the product over the rows of |S_i|^2 + |N_i|^2
     + 2*|<S_i, N_i>|, so by Parseval every coefficient has |c_k| <=
     sqrt(h2).  Take b with 2^(4b-2) > h2: every coefficient is then a
-    balanced digit in base 2^(2b).  Two integer Bareiss determinants fix
-    f: at X = 2^b, (f(X) + f(-X))/2 packs the even coefficients and
-    (f(X) - f(-X))/(2X) the odd ones.  A zero pencil (h2 = 0: a row of
-    t*S - N is zero) needs no branch of its own: b = 1, both determinants
-    are 0, and the digits unpack to ZERO.  A pair that is not square
-    raises NotSquare from int_det.
+    balanced digit in base 2^(2b).  So one integer Bareiss determinant
+    fixes f: f(2^(2b)) packs every coefficient.  So do two: at X = 2^b,
+    (f(X) + f(-X))/2 packs the even coefficients and (f(X) - f(-X))/(2X)
+    the odd ones.  Both routes unpack the same digits of width 2b, each
+    part with its step and offset in the exponent.  A zero pencil (h2 = 0:
+    a row of t*S - N is zero) needs no branch of its own: b = 1, the
+    determinants are 0, and the digits unpack to ZERO.  A pair that is
+    not square raises NotSquare from int_det.
 
-    Cost: two eliminations of m^3/3 steps each, on integers of up to
-    about m*b bits, where b is a quarter of the bits of h2 (so b grows
-    linearly in m).  Below m = 40 that beats m + 1 eliminations on small
-    integers; towards the 64 x 64 cap the quadratic division of the big
-    integers dominates and it takes a few seconds.
+    Cost: m^3/3 steps per elimination, on integers of up to about m*b
+    bits at X = 2^b and about 2*m*b at X = 2^(2b), where b is a quarter of
+    the bits of h2 (so b grows linearly in m).  While m*b <= 512 a step
+    costs mostly interpreter overhead, whatever the length of its
+    integers, so one point is 1.2-1.8x faster than two.  The two cost
+    about the same for m*b from 600 to 800; above that the quadratic
+    division of the longer integers makes one point slower (0.8x at
+    m*b = 1,150).  Below m = 40 either route beats m + 1 eliminations on
+    small integers; towards the 64 x 64 cap the big-integer division
+    dominates and it takes a few seconds.
     """
     h2 = 1
     for srow, nrow in zip(pair.S, pair.N):
@@ -293,12 +301,15 @@ def pencil_det(pair: SeifertPair) -> LaurentPoly:
             sum(s * v for s, v in zip(srow, nrow))
         )
     b = (h2.bit_length() + 5) // 4
-    at_plus, at_minus = (int_det(_pencil(pair, x, 1)) for x in (1 << b, -(1 << b)))
-    even, odd = (at_plus + at_minus) >> 1, (at_plus - at_minus) >> (b + 1)
+    if len(pair.S) * b <= 512:
+        parts = ((1, 0, int_det(_pencil(pair, 1 << 2 * b, 1))),)
+    else:
+        at_plus, at_minus = (int_det(_pencil(pair, x, 1)) for x in (1 << b, -(1 << b)))
+        parts = ((2, 0, (at_plus + at_minus) >> 1), (2, 1, (at_plus - at_minus) >> (b + 1)))
     terms = {}
-    for parity, packed in ((0, even), (1, odd)):
+    for step, offset, packed in parts:
         for j, c in enumerate(_balanced_digits(packed, 2 * b)):
-            terms[4 * j + 2 * parity] = c
+            terms[2 * (step * j + offset)] = c
     return LaurentPoly(terms)
 
 

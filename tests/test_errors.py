@@ -1,8 +1,9 @@
 """Every error message quotes its values through errors.short_repr.
 
 A polynomial is quoted whole up to 2,000 characters of text, a longer one
-by its first and last 1,000; any other value is cut to 24 characters.  So
-a refused value of any size gives a message of bounded length.
+by its first and last 1,000; an int past the int-to-text limit by its sign
+and bit length; any other value is cut to 24 characters.  So a refused
+value of any size gives a message of bounded length.
 """
 import pytest
 
@@ -36,6 +37,8 @@ ONES = LaurentPoly({k: 1 for k in range(0, 2001, 2)})
 RAMP = LaurentPoly({k: k + 1 for k in range(0, 2001, 2)})
 BIG = 10**4000  # 4,001 digits, inside the int-to-text limit
 BIG_CUT = "1000000000...00000000000"
+HUGE = 10**5000  # 5,001 digits, past the default limit of 4,300
+HUGE_CUT = "<16610-bit int>"
 LONG = "x" * 300_000
 LONG_CUT = "'xxxxxxxxx...xxxxxxxxxx'"
 PAIR = SeifertPair([[0]], [[0]], 1, 1)
@@ -87,11 +90,20 @@ def padded(length: int) -> LaurentPoly:
         (lambda: UnimodularPair([[BIG]], [[1]]), NotUnimodular, f"P has determinant {BIG_CUT}"),
         (lambda: check_duality(*[SeifertPair([[0]], [[0]], 1, BIG)] * 2), ShapeMismatch,
          f"degrees (p=1, n={BIG_CUT}) and (p=1, n={BIG_CUT}) are not complementary"),
+        (lambda: SeifertPair([[0]], [[0]], HUGE, 1), ValueError,
+         f"need n >= 1 and 0 <= p <= n+1, got p={HUGE_CUT}, n=1"),
+        (lambda: ArfData(HUGE, [1], [1]), ShapeMismatch,
+         f"need {HUGE_CUT} pairings per list, got 1 and 1"),
+        (lambda: UnimodularPair([[HUGE]], [[1]]), NotUnimodular,
+         f"P has determinant {HUGE_CUT}"),
+        (lambda: check_duality(*[SeifertPair([[0]], [[0]], 1, HUGE)] * 2), ShapeMismatch,
+         f"degrees (p=1, n={HUGE_CUT}) and (p=1, n={HUGE_CUT}) are not complementary"),
     ],
     ids=[
         "require-integral", "balanced-class", "alinking", "first-order", "second-order",
         "exact-div", "shift", "mars-symmetry", "pair-p", "pair-n", "normalized-n",
         "normalized-flag", "halfexp-cap", "arf-nu", "unimodular", "duality",
+        "pair-p-huge", "arf-nu-huge", "unimodular-huge", "duality-huge",
     ],
 )
 def test_oversized_value_is_quoted_cut_short(call, error, message):

@@ -595,3 +595,49 @@ def test_pencil_det_at_hadamard_bound():
             pair = SeifertPair(h, nm, 1, 2)
             assert pencil_det(pair) == pencil_det_interp_oracle(pair)
         assert pencil_det(SeifertPair(h, zero, 1, 2)) == int_det(h) * T**size
+
+
+def _diagonal_pair(rng: random.Random, sums) -> SeifertPair:
+    """A diagonal pair with |S_ii| + |N_ii| = sums[i], so h2 = prod(sums)^2."""
+    n = len(sums)
+    s, nm = ([[0] * n for _ in range(n)] for _ in range(2))
+    for i, c in enumerate(sums):
+        a = rng.randint(0, c)
+        s[i][i], nm[i][i] = rng.choice((-1, 1)) * a, rng.choice((-1, 1)) * (c - a)
+    return SeifertPair(s, nm, 1, 2)
+
+
+def _sparse_pair(rng: random.Random, n: int) -> SeifertPair:
+    """S a signed permutation matrix; N has one +-1 in about half of its rows."""
+    s, nm = ([[0] * n for _ in range(n)] for _ in range(2))
+    for i, j in enumerate(rng.sample(range(n), n)):
+        s[i][j] = rng.choice((-1, 1))
+        if rng.randint(0, 1):
+            nm[i][rng.randrange(n)] = rng.choice((-1, 1))
+    return SeifertPair(s, nm, 1, 2)
+
+
+def _routing_cases(rng: random.Random):
+    """(pair, evaluation points) on both sides of m*b = 512, m the size and
+    2b the digit width: one point at or below 512, two above."""
+    big = 10**6
+    for n in (8, 10, 12):
+        yield SeifertPair(
+            random_int_matrix(rng, n, n, -big, big), random_int_matrix(rng, n, n, -big, big), 1, 2
+        ), 2
+    for n, points in ((16, 1), (18, 2)):
+        yield SeifertPair(random_int_matrix(rng, n, n), random_int_matrix(rng, n, n), 1, 2), points
+    for n in (24, 32, 48):
+        yield _sparse_pair(rng, n), 1
+    yield _diagonal_pair(rng, [15] * 16), 1  # b = 32: m*b = 512
+    yield _diagonal_pair(rng, [6] * 2 + [7] * 17), 2  # b = 27: m*b = 513
+
+
+def test_pencil_det_routes_by_size_times_digit_width(monkeypatch):
+    calls = []
+    monkeypatch.setattr("alexpoly.seifert.int_det", lambda m: calls.append(m) or int_det(m))
+    for pair, points in _routing_cases(random.Random(SEED + 15)):
+        calls.clear()
+        got = pencil_det(pair)
+        assert len(calls) == points
+        assert got == pencil_det_interp_oracle(pair)
