@@ -9,10 +9,10 @@ are equal.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 from .errors import NonIntegerExponent, short_repr
 from .laurent import LaurentPoly, _adopt
+from .record import _Record
 
 
 class Ring(enum.Enum):
@@ -66,8 +66,7 @@ def canonicalize(f: LaurentPoly, ring: Ring) -> LaurentPoly:
     return _adopt({k - low: v // scale for k, v in terms.items()})
 
 
-@dataclass(frozen=True)
-class BalancedClass:
+class BalancedClass(_Record):
     """A balanced class, stored via its canonical representative.
 
     The constructor takes the canonical representative itself; use
@@ -77,12 +76,14 @@ class BalancedClass:
     representative: LaurentPoly
     ring: Ring
 
-    def __post_init__(self):
-        rep = self.representative
-        if not isinstance(rep, LaurentPoly):
-            raise TypeError(f"a representative must be a LaurentPoly, got {short_repr(rep)}")
-        if canonicalize(rep, self.ring) != rep:
-            raise ValueError(f"{short_repr(rep)} is not the canonical {self.ring.value} representative")
+    def __init__(self, representative: LaurentPoly, ring: Ring):
+        if not isinstance(representative, LaurentPoly):
+            raise TypeError(f"a representative must be a LaurentPoly, got {short_repr(representative)}")
+        if canonicalize(representative, ring) != representative:
+            raise ValueError(
+                f"{short_repr(representative)} is not the canonical {ring.value} representative"
+            )
+        self.__dict__.update(representative=representative, ring=ring)
 
     @classmethod
     def from_poly(cls, f: LaurentPoly, ring: Ring) -> BalancedClass:
@@ -92,8 +93,7 @@ class BalancedClass:
         without the constructor's check, which would canonicalize again.
         """
         self = object.__new__(cls)
-        object.__setattr__(self, "representative", canonicalize(f, ring))
-        object.__setattr__(self, "ring", ring)
+        self.__dict__.update(representative=canonicalize(f, ring), ring=ring)
         return self
 
     def contains(self, f: LaurentPoly) -> bool:

@@ -10,7 +10,6 @@ values): the twist entry asks check_duality of each of its pairs.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
 from .balance import BalancedClass, Ring, q_balanced_eq, z_balanced_eq
@@ -22,17 +21,27 @@ from .invariants import (
     second_order_at_one,
 )
 from .laurent import LaurentPoly, ONE, T, ZERO
+from .record import _Record
 from .seifert import SeifertPair, check_duality, intersection_form, pencil_det
 from .skein import check_pass_move, check_twist_move, find_representatives
 
 
-@dataclass(frozen=True)
-class CorpusEntry:
+class CorpusEntry(_Record):
     name: str
     description: str
     check: Callable[[CorpusEntry], Iterable[str]]
-    pairs: tuple[tuple[str, SeifertPair], ...] = ()
-    polys: tuple[tuple[str, LaurentPoly], ...] = ()
+    pairs: tuple[tuple[str, SeifertPair], ...]
+    polys: tuple[tuple[str, LaurentPoly], ...]
+
+    def __init__(
+        self,
+        name: str,
+        description: str,
+        check: Callable[[CorpusEntry], Iterable[str]],
+        pairs: tuple[tuple[str, SeifertPair], ...] = (),
+        polys: tuple[tuple[str, LaurentPoly], ...] = (),
+    ):
+        self.__dict__.update(name=name, description=description, check=check, pairs=pairs, polys=polys)
 
     def pair(self, label: str) -> SeifertPair:
         return dict(self.pairs)[label]
@@ -41,16 +50,20 @@ class CorpusEntry:
         return dict(self.polys)[label]
 
 
-@dataclass(frozen=True)
-class EntryResult:
+class EntryResult(_Record):
     name: str
     passed: bool
     failures: tuple[str, ...]
 
+    def __init__(self, name: str, passed: bool, failures: tuple[str, ...]):
+        self.__dict__.update(name=name, passed=passed, failures=failures)
 
-@dataclass(frozen=True)
-class CorpusReport:
+
+class CorpusReport(_Record):
     results: tuple[EntryResult, ...]
+
+    def __init__(self, results: tuple[EntryResult, ...]):
+        self.__dict__.update(results=results)
 
     @property
     def all_passed(self) -> bool:

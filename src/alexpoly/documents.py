@@ -27,12 +27,12 @@ here, where input comes in, and not to the arithmetic itself.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import Any
 
 from .errors import AlexpolyError, InvalidDocument, short_repr
 from .invariants import ArfData
 from .laurent import LaurentPoly
+from .record import _Record
 from .seifert import SeifertPair
 
 
@@ -54,12 +54,14 @@ MAX_MATRIX_DIM = 64
 MAX_MATRIX_ENTRY = 15
 
 
-@dataclass(frozen=True)
-class Triple:
+class Triple(_Record):
     plus: LaurentPoly
     minus: LaurentPoly
     zero: LaurentPoly
     move: str
+
+    def __init__(self, plus: LaurentPoly, minus: LaurentPoly, zero: LaurentPoly, move: str):
+        self.__dict__.update(plus=plus, minus=minus, zero=zero, move=move)
 
 
 def _require(condition: bool, message: str) -> None:

@@ -23,20 +23,19 @@ variable t, q(1) = delta'(1) = sum of (k/2)*c_k:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping
 
 from .balance import BalancedClass, Ring, _require_integral
 from .errors import NotDivisible, PreconditionViolated, ShapeMismatch, short_repr
 from .laurent import LaurentPoly, T_HALF_DIFF, T_MINUS_ONE, ZERO
+from .record import _Record
 from .seifert import (
     SeifertPair, _corank_one_kernel, _require_square, intersection_form, pencil_det, transpose
 )
 
 
-@dataclass(frozen=True)
-class NormalizedInput:
+class NormalizedInput(_Record):
     """A middle-dimension Seifert pair plus the injectivity flag.
 
     The pair must carry n = 4k+1 and p = 2k+1, and be square: it pairs
@@ -50,17 +49,17 @@ class NormalizedInput:
     pair: SeifertPair
     middle_condition: bool
 
-    def __post_init__(self):
-        if type(self.middle_condition) is not bool:
-            raise TypeError(f"middle_condition must be a bool, got {short_repr(self.middle_condition)}")
-        n, p = self.pair.n, self.pair.p
+    def __init__(self, pair: SeifertPair, middle_condition: bool):
+        if type(middle_condition) is not bool:
+            raise TypeError(f"middle_condition must be a bool, got {short_repr(middle_condition)}")
+        n, p = pair.n, pair.p
         if n % 4 != 1 or 2 * p != n + 1:
             raise ValueError(f"need n = 4k+1 and p = 2k+1, got p={short_repr(p)}, n={short_repr(n)}")
-        _require_square(self.pair.S)
+        _require_square(pair.S)
+        self.__dict__.update(pair=pair, middle_condition=middle_condition)
 
 
-@dataclass(frozen=True)
-class ArfData:
+class ArfData(_Record):
     """Diagonal Seifert pairings lk(x_i, x_i+) and lk(y_i, y_i+)."""
 
     nu: int
@@ -68,9 +67,7 @@ class ArfData:
     b: tuple[int, ...]
 
     def __init__(self, nu: int, a, b):
-        object.__setattr__(self, "nu", nu)
-        object.__setattr__(self, "a", tuple(a))
-        object.__setattr__(self, "b", tuple(b))
+        self.__dict__.update(nu=nu, a=tuple(a), b=tuple(b))
         for v in self.a + self.b:
             if type(v) is not int:
                 raise TypeError(f"pairings must be ints, got {short_repr(v)}")
@@ -82,8 +79,7 @@ class ArfData:
             )
 
 
-@dataclass(frozen=True)
-class InvariantReport:
+class InvariantReport(_Record):
     """Computed polynomial, both balanced classes, and derived integers.
 
     scalars is a read-only view of a private copy of the mapping passed in.
@@ -92,10 +88,19 @@ class InvariantReport:
     polynomial: LaurentPoly
     class_z: BalancedClass
     class_q: BalancedClass
-    scalars: Mapping[str, int] = field(default_factory=dict)
+    scalars: Mapping[str, int]
 
-    def __post_init__(self):
-        object.__setattr__(self, "scalars", MappingProxyType(dict(self.scalars)))
+    def __init__(
+        self,
+        polynomial: LaurentPoly,
+        class_z: BalancedClass,
+        class_q: BalancedClass,
+        scalars: Mapping[str, int] = MappingProxyType({}),
+    ):
+        self.__dict__.update(
+            polynomial=polynomial, class_z=class_z, class_q=class_q,
+            scalars=MappingProxyType(dict(scalars)),
+        )
 
 
 def z_alexander(pair: SeifertPair) -> BalancedClass:

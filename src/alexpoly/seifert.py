@@ -26,11 +26,11 @@ each of its divisions is exact in either ring.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import NotSquare, NotUnimodular, ShapeMismatch, short_repr
 from .laurent import ONE, ZERO, LaurentPoly, T, T_HALF
+from .record import _Record
 
 IntMatrix = tuple[tuple[int, ...], ...]
 
@@ -162,8 +162,7 @@ def int_det(m: IntMatrix) -> int:
 # -- core data types ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SeifertPair:
+class SeifertPair(_Record):
     """Positive/negative Seifert matrices with dimension metadata.
 
     S and N must share one shape; p is the cycle degree (0 <= p <= n+1),
@@ -176,10 +175,7 @@ class SeifertPair:
     n: int
 
     def __init__(self, S, N, p: int, n: int):
-        object.__setattr__(self, "S", as_int_matrix(S))
-        object.__setattr__(self, "N", as_int_matrix(N))
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "n", n)
+        self.__dict__.update(S=as_int_matrix(S), N=as_int_matrix(N), p=p, n=n)
         if type(p) is not int or type(n) is not int:
             raise TypeError(f"p and n must be ints, got p={short_repr(p)}, n={short_repr(n)}")
         if self.shape != (len(self.N), len(self.N[0]) if self.N else 0):
@@ -192,30 +188,27 @@ class SeifertPair:
         return (len(self.S), len(self.S[0]) if self.S else 0)
 
 
-@dataclass(frozen=True)
-class AlexanderMatrix:
+class AlexanderMatrix(_Record):
     """A rectangular matrix of Laurent polynomials."""
 
     entries: tuple[tuple[LaurentPoly, ...], ...]
 
     def __init__(self, entries: Iterable[Iterable[LaurentPoly]]):
-        object.__setattr__(self, "entries", _freeze(entries, LaurentPoly, "Alexander matrix"))
+        self.__dict__.update(entries=_freeze(entries, LaurentPoly, "Alexander matrix"))
 
     @property
     def shape(self) -> tuple[int, int]:
         return (len(self.entries), len(self.entries[0]) if self.entries else 0)
 
 
-@dataclass(frozen=True)
-class UnimodularPair:
+class UnimodularPair(_Record):
     """Basis-change matrices (P for the x-basis, Q for the y-basis)."""
 
     P: IntMatrix
     Q: IntMatrix
 
     def __init__(self, P, Q):
-        object.__setattr__(self, "P", as_int_matrix(P))
-        object.__setattr__(self, "Q", as_int_matrix(Q))
+        self.__dict__.update(P=as_int_matrix(P), Q=as_int_matrix(Q))
         for name, m in (("P", self.P), ("Q", self.Q)):
             if abs(d := int_det(m)) != 1:
                 raise NotUnimodular(f"{name} has determinant {short_repr(d)}")

@@ -15,14 +15,12 @@ division, and returns the one of least total shift.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .balance import BalancedClass, Ring, _require_integral
 from .laurent import LaurentPoly, T_HALF_DIFF, T_MINUS_ONE, ZERO
+from .record import _Record
 
 
-@dataclass(frozen=True)
-class SkeinVerdict:
+class SkeinVerdict(_Record):
     """Outcome of one identity check; holds iff residual is zero."""
 
     holds: bool
@@ -30,13 +28,18 @@ class SkeinVerdict:
     rhs: LaurentPoly
     residual: LaurentPoly
 
+    def __init__(self, holds: bool, lhs: LaurentPoly, rhs: LaurentPoly, residual: LaurentPoly):
+        self.__dict__.update(holds=holds, lhs=lhs, rhs=rhs, residual=residual)
 
-@dataclass(frozen=True)
-class RepresentativeWitness:
+
+class RepresentativeWitness(_Record):
     """Unit multipliers (sign, exponent) for (plus, minus, zero), if any."""
 
     found: bool
-    shifts: tuple[tuple[int, int], ...] = ()
+    shifts: tuple[tuple[int, int], ...]
+
+    def __init__(self, found: bool, shifts: tuple[tuple[int, int], ...] = ()):
+        self.__dict__.update(found=found, shifts=shifts)
 
 
 def _verdict(lhs: LaurentPoly, rhs: LaurentPoly) -> SkeinVerdict:

@@ -4,13 +4,13 @@ Everything here is exact integer arithmetic, so the tolerances are
 zero: results either match or they do not.  Randomized parts use the
 fixed seeds recorded below.
 """
-import dataclasses
 import random
 import time
 
 from alexpoly import (
     AlexanderMatrix,
     BalancedClass,
+    CorpusEntry,
     LaurentPoly,
     NormalizedInput,
     ONE,
@@ -250,7 +250,7 @@ def _mutated_entry(entry, label: str, which: str, i: int, j: int):
     (s if which == "S" else n)[i][j] += 1
     bumped = SeifertPair(s, n, pair.p, pair.n)
     pairs = tuple((k, bumped if k == label else v) for k, v in entry.pairs)
-    return dataclasses.replace(entry, pairs=pairs)
+    return CorpusEntry(entry.name, entry.description, entry.check, pairs, entry.polys)
 
 
 def test_criterion_7_corpus_and_mutation():
