@@ -52,5 +52,5 @@ print(f"\nboth routes agree on {agreements}/200 random block pairs")
 
 # The Arf invariant needs only the diagonal pairings of a Z2-symplectic
 # basis: sum lk(x_i, x_i+) * lk(y_i, y_i+) mod 2.
-data = ArfData(nu=2, a=(1, 1), b=(1, 0))
+data = ArfData(a=(1, 1), b=(1, 0))
 print(f"arf{data.a, data.b} = {arf(data)}")

@@ -2,9 +2,9 @@
 
 Three surfaces that differ only inside a small ball have Alexander
 polynomials tied together by dp - dm = (t - 1) * d0.  The classes only
-pin the polynomials down up to a unit +-t^n, so we also ask the search
-routine to find unit multiples of the canonical representatives that
-satisfy the identity on the nose.
+pin the polynomials down up to a unit +-t^n, so we also ask for a
+witness: unit multiples of the canonical representatives that satisfy
+the identity on the nose.
 """
 from alexpoly import (
     BalancedClass,
@@ -28,7 +28,7 @@ print(f"\n(plus - minus)          = {verdict.lhs}")
 print(f"(t - 1) * zero          = {verdict.rhs}")
 print(f"identity holds exactly: {verdict.holds}")
 
-# Canonical class representatives forget the unit; the search recovers one.
+# Canonical class representatives forget the unit; the witness recovers one.
 classes = [BalancedClass.from_poly(f, Ring.Z) for f in (dp, dm, ONE)]
 print("\ncanonical representatives:", ", ".join(str(c.representative) for c in classes))
 

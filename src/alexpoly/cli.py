@@ -217,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
         "f", "g", ring=True,
     )
     add("canon", _cmd_canon, "canonical balanced-class representative", "f", ring=True)
-    add("find-reps", _cmd_find_reps, "search unit multiples satisfying the pass move", "file")
+    add("find-reps", _cmd_find_reps, "unit multiples satisfying the pass move", "file")
     add("corpus", _cmd_corpus, "run every bundled example and report pass/fail")
 
     return parser

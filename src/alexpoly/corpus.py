@@ -52,11 +52,14 @@ class CorpusEntry(_Record):
 
 class EntryResult(_Record):
     name: str
-    passed: bool
     failures: tuple[str, ...]
 
-    def __init__(self, name: str, passed: bool, failures: tuple[str, ...]):
-        self.__dict__.update(name=name, passed=passed, failures=failures)
+    def __init__(self, name: str, failures: tuple[str, ...]):
+        self.__dict__.update(name=name, failures=failures)
+
+    @property
+    def passed(self) -> bool:
+        return not self.failures
 
 
 class CorpusReport(_Record):
@@ -177,7 +180,7 @@ CORPUS: tuple[CorpusEntry, ...] = (
     ),
     CorpusEntry(
         name="intro-reps",
-        description="representative search on the integer classes of t, 2t-1, 1",
+        description="representative witness for the integer classes of t, 2t-1, 1",
         check=_check_intro_reps,
         polys=(("plus", T), ("minus", 2 * T - 1), ("zero", ONE)),
     ),
@@ -235,5 +238,5 @@ def run_corpus(entries: tuple[CorpusEntry, ...] = CORPUS) -> CorpusReport:
             failures = tuple(entry.check(entry))
         except AlexpolyError as exc:
             failures = (f"{type(exc).__name__}: {exc}",)
-        results.append(EntryResult(entry.name, not failures, failures))
+        results.append(EntryResult(entry.name, failures))
     return CorpusReport(tuple(results))

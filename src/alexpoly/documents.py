@@ -164,7 +164,7 @@ def arf_from_doc(obj: Any) -> ArfData:
     _require_kind(obj, "arf")
     for key in ("a", "b"):
         _require(isinstance(obj.get(key), list), f"arf document needs a list {key!r}")
-    return _build("arf", ArfData, len(obj["a"]), obj["a"], obj["b"])
+    return _build("arf", ArfData, obj["a"], obj["b"])
 
 
 # Each kind's keys, and the parser that turns such a document into a value.

@@ -60,47 +60,47 @@ class NormalizedInput(_Record):
 
 
 class ArfData(_Record):
-    """Diagonal Seifert pairings lk(x_i, x_i+) and lk(y_i, y_i+)."""
+    """Diagonal Seifert pairings lk(x_i, x_i+) and lk(y_i, y_i+), i = 1..nu."""
 
-    nu: int
     a: tuple[int, ...]
     b: tuple[int, ...]
 
-    def __init__(self, nu: int, a, b):
-        self.__dict__.update(nu=nu, a=tuple(a), b=tuple(b))
+    def __init__(self, a, b):
+        self.__dict__.update(a=tuple(a), b=tuple(b))
         for v in self.a + self.b:
             if type(v) is not int:
                 raise TypeError(f"pairings must be ints, got {short_repr(v)}")
-        if nu < 1:
-            raise ValueError("nu must be positive")
-        if len(self.a) != nu or len(self.b) != nu:
+        if not self.a:
+            raise ValueError("need at least one pairing per list")
+        if len(self.a) != len(self.b):
             raise ShapeMismatch(
-                f"need {short_repr(nu)} pairings per list, got {len(self.a)} and {len(self.b)}"
+                f"need as many pairings in b as in a, got {len(self.a)} and {len(self.b)}"
             )
+
+    @property
+    def nu(self) -> int:
+        return len(self.a)
 
 
 class InvariantReport(_Record):
-    """Computed polynomial, both balanced classes, and derived integers.
-
-    scalars is a read-only view of a private copy of the mapping passed in.
-    """
+    """Computed polynomial, both balanced classes, and derived integers."""
 
     polynomial: LaurentPoly
     class_z: BalancedClass
     class_q: BalancedClass
-    scalars: Mapping[str, int]
 
-    def __init__(
-        self,
-        polynomial: LaurentPoly,
-        class_z: BalancedClass,
-        class_q: BalancedClass,
-        scalars: Mapping[str, int] = MappingProxyType({}),
-    ):
-        self.__dict__.update(
-            polynomial=polynomial, class_z=class_z, class_q=class_q,
-            scalars=MappingProxyType(dict(scalars)),
-        )
+    def __init__(self, polynomial: LaurentPoly, class_z: BalancedClass, class_q: BalancedClass):
+        self.__dict__.update(polynomial=polynomial, class_z=class_z, class_q=class_q)
+
+    @property
+    def scalars(self) -> Mapping[str, int]:
+        """A read-only mapping, new on each read: determinant_at_one, and
+        pseudo_alinking when that value is 0."""
+        at_one = self.polynomial.eval_at_one()
+        scalars = {"determinant_at_one": at_one}
+        if at_one == 0:
+            scalars["pseudo_alinking"] = pseudo_alinking_from_poly(self.polynomial)
+        return MappingProxyType(scalars)
 
 
 def z_alexander(pair: SeifertPair) -> BalancedClass:
@@ -126,17 +126,11 @@ def normalized_alexander(data: NormalizedInput) -> LaurentPoly:
 
 
 def report(pair: SeifertPair) -> InvariantReport:
-    """Polynomial and both classes for a square pair, plus scalar extras."""
+    """Polynomial and both classes for a square pair; the report derives
+    its scalar extras from the polynomial."""
     poly = pencil_det(pair)
-    at_one = poly.eval_at_one()
-    scalars = {"determinant_at_one": at_one}
-    if at_one == 0:
-        scalars["pseudo_alinking"] = pseudo_alinking_from_poly(poly)
     return InvariantReport(
-        polynomial=poly,
-        class_z=BalancedClass.from_poly(poly, Ring.Z),
-        class_q=BalancedClass.from_poly(poly, Ring.Q),
-        scalars=scalars,
+        poly, BalancedClass.from_poly(poly, Ring.Z), BalancedClass.from_poly(poly, Ring.Q)
     )
 
 

@@ -1,4 +1,4 @@
-"""Skein-style identity checks for move triples, and representative search.
+"""Skein-style identity checks for move triples, and representative witnesses.
 
 The pass-move identity compares dp - dm with (t - 1)*d0 over integer
 powers; the twist-move identity compares dp - dm with
@@ -23,29 +23,34 @@ from .record import _Record
 class SkeinVerdict(_Record):
     """Outcome of one identity check; holds iff residual is zero."""
 
-    holds: bool
     lhs: LaurentPoly
     rhs: LaurentPoly
     residual: LaurentPoly
 
-    def __init__(self, holds: bool, lhs: LaurentPoly, rhs: LaurentPoly, residual: LaurentPoly):
-        self.__dict__.update(holds=holds, lhs=lhs, rhs=rhs, residual=residual)
+    def __init__(self, lhs: LaurentPoly, rhs: LaurentPoly, residual: LaurentPoly):
+        self.__dict__.update(lhs=lhs, rhs=rhs, residual=residual)
+
+    @property
+    def holds(self) -> bool:
+        return not self.residual
 
 
 class RepresentativeWitness(_Record):
-    """Unit multipliers (sign, exponent) for (plus, minus, zero), if any."""
+    """Unit multipliers (sign, exponent) for (plus, minus, zero); empty if
+    no unit multiples satisfy the identity."""
 
-    found: bool
     shifts: tuple[tuple[int, int], ...]
 
-    def __init__(self, found: bool, shifts: tuple[tuple[int, int], ...] = ()):
-        self.__dict__.update(found=found, shifts=shifts)
+    def __init__(self, shifts: tuple[tuple[int, int], ...] = ()):
+        self.__dict__.update(shifts=shifts)
+
+    @property
+    def found(self) -> bool:
+        return bool(self.shifts)
 
 
 def _verdict(lhs: LaurentPoly, rhs: LaurentPoly) -> SkeinVerdict:
-    if lhs == rhs:
-        return SkeinVerdict(holds=True, lhs=lhs, rhs=rhs, residual=ZERO)
-    return SkeinVerdict(holds=False, lhs=lhs, rhs=rhs, residual=lhs - rhs)
+    return SkeinVerdict(lhs, rhs, ZERO if lhs == rhs else lhs - rhs)
 
 
 def check_pass_move(
@@ -149,8 +154,8 @@ def find_representatives(
     Witnesses are ordered by ascending total shift |np| + |nm| + |n0|,
     ties broken by exponent magnitude, then positive exponent, then
     positive sign, separately for the plus, minus and zero slots in that
-    order.  The first witness in that order is returned; found=False
-    means that no unit multiples satisfy the identity at all.
+    order.  The first witness in that order is returned; empty shifts
+    (found is False) mean that no unit multiples satisfy the identity.
 
     Divided by t^nm, a witness is relative: (sp, sm, s0, np - nm, n0 - nm).
     _relative_witnesses derives all of those.  The total shift of
@@ -161,7 +166,7 @@ def find_representatives(
     """
     for c in (cp, cm, c0):
         if c.ring is not Ring.Z:
-            raise ValueError("representative search needs Z-ring classes")
+            raise ValueError("representative witnesses need Z-ring classes")
     placements = []
     for sp, sm, s0, d, e in _relative_witnesses(
         cp.representative, cm.representative, c0.representative
@@ -169,6 +174,4 @@ def find_representatives(
         nm = sorted((-d, 0, -e))[1]
         slots = ((sp, nm + d), (sm, nm), (s0, nm + e))
         placements.append(tuple((1 if s is None else s, n) for s, n in slots))
-    if not placements:
-        return RepresentativeWitness(found=False)
-    return RepresentativeWitness(found=True, shifts=min(placements, key=_order))
+    return RepresentativeWitness(min(placements, key=_order, default=()))

@@ -176,8 +176,8 @@ def find_representatives_oracle(
         ]
         if check_pass_move(*shifted).holds:
             shifts = tuple((sign, n) for n, sign in triple)
-            return RepresentativeWitness(found=True, shifts=shifts)
-    return RepresentativeWitness(found=False)
+            return RepresentativeWitness(shifts)
+    return RepresentativeWitness()
 
 
 def find_representatives_lookup_oracle(
@@ -207,8 +207,8 @@ def find_representatives_lookup_oracle(
                 if best is None or key < best[0]:
                     best = (key, triple)
     if best is None:
-        return RepresentativeWitness(found=False)
-    return RepresentativeWitness(found=True, shifts=tuple((s, n) for n, s in best[1]))
+        return RepresentativeWitness()
+    return RepresentativeWitness(tuple((s, n) for n, s in best[1]))
 
 
 def _parity(perm: tuple[int, ...]) -> int:

@@ -83,6 +83,9 @@ class TestBalancedClass:
         assert c.representative == T - 1
         assert c == BalancedClass.from_poly(T - 1, Ring.Z)
 
+    def test_str(self):
+        assert str(BalancedClass.from_poly(T - 1, Ring.Z)) == "Z-class of -1 + 1*t^1"
+
     def test_contains(self):
         c = BalancedClass.from_poly(T - 1, Ring.Q)
         assert c.contains(7 * (T - 1))

@@ -354,7 +354,7 @@ def test_corpus_failure_exits_nonzero(capsys, monkeypatch):
     import alexpoly.cli as cli
     from alexpoly.corpus import CorpusReport, EntryResult
 
-    failing = CorpusReport((EntryResult("intro-triple", False, ("broken",)),))
+    failing = CorpusReport((EntryResult("intro-triple", ("broken",)),))
     monkeypatch.setattr(cli, "run_corpus", lambda: failing)
     assert main(["corpus"]) == 1
     assert "intro-triple: FAIL" in capsys.readouterr().out
@@ -827,8 +827,8 @@ def test_exact_output(tmp_path, monkeypatch, case, as_json):
         argv = [path if arg == "DOC" else arg for arg in argv]
     if case == "corpus-fails":
         failing = CorpusReport((
-            EntryResult("intro-triple", False, ("broken",)),
-            EntryResult("aa-triple", True, ()),
+            EntryResult("intro-triple", ("broken",)),
+            EntryResult("aa-triple", ()),
         ))
         monkeypatch.setattr("alexpoly.cli.run_corpus", lambda: failing)
     if as_json:

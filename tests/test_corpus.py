@@ -1,4 +1,4 @@
-from alexpoly import CORPUS, CorpusEntry, SeifertPair, run_corpus
+from alexpoly import CORPUS, CorpusEntry, RepresentativeWitness, SeifertPair, run_corpus
 
 
 def test_every_entry_passes():
@@ -137,7 +137,7 @@ def test_bumped_pairs_give_the_recorded_failures():
     assert seen == set(BUMPED_FAILURES)
 
 
-def test_replaced_values_give_the_recorded_failures():
+def test_replaced_values_give_the_recorded_failures(monkeypatch):
     entries = {entry.name: entry for entry in CORPUS}
     plus_failures = {
         "intro-triple": ("pass-move residual 1",),
@@ -154,3 +154,16 @@ def test_replaced_values_give_the_recorded_failures():
     pairs = (("zero", SeifertPair([[0]], [[0]], 1, 1)),)
     twinkle = CorpusEntry(entry.name, entry.description, entry.check, pairs, entry.polys)
     assert _failures(twinkle) == ("second-order value -1 vs pairing 0, expected -1",)
+    entry = entries["mississippi-classes"]
+    pairs = tuple(
+        (k, SeifertPair([[3]], [[3]], 1, 2) if k == "plus2" else v) for k, v in entry.pairs
+    )
+    classes = CorpusEntry(entry.name, entry.description, entry.check, pairs, entry.polys)
+    assert _failures(classes) == (
+        "plus2: integer class is -3 + 3*t^1, expected -2 + 2*t^1",
+        "minus/plus2: unexpectedly Z-balanced",
+    )
+    # A witness whose shifts do not satisfy the identity.
+    wrong = RepresentativeWitness(((1, 1), (1, 0), (1, 0)))
+    monkeypatch.setattr("alexpoly.corpus.find_representatives", lambda *classes: wrong)
+    assert _failures(entries["intro-reps"]) == ("witness does not satisfy the identity",)

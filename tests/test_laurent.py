@@ -55,6 +55,27 @@ def test_float_helper_arguments_raise(build):
         build()
 
 
+@pytest.mark.parametrize(
+    "op, want",
+    [
+        (lambda: T + "a", TypeError),
+        (lambda: T - "a", TypeError),
+        (lambda: "a" - T, TypeError),
+        (lambda: T * "a", TypeError),
+        (lambda: T // "a", TypeError),
+        (lambda: T == "a", False),
+        (lambda: T != "a", True),
+    ],
+    ids=["add", "sub", "rsub", "mul", "floordiv", "eq", "ne"],
+)
+def test_other_operand_types_are_not_implemented(op, want):
+    if want is TypeError:
+        with pytest.raises(TypeError):
+            op()
+    else:
+        assert op() is want
+
+
 class TestAdd:
     def test_pass_triple_difference(self):
         assert T + (-(2 * T - 1)) == 1 - T

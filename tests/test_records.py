@@ -1,9 +1,10 @@
 """The 13 value types behave as the frozen dataclasses they replaced did.
 
 Each case builds one value positionally and by keyword.  The field names
-and repr strings below were recorded from the dataclass versions.  A
-cold import of the package loads neither ``dataclasses`` nor
-``inspect``.
+and repr strings below were recorded from the dataclass versions, less
+the five fields that restated another field and are now read-only
+properties.  A cold import of the package loads neither ``dataclasses``
+nor ``inspect``.
 """
 import copy
 import os
@@ -35,6 +36,7 @@ from alexpoly import (
     T,
     UnimodularPair,
     ZERO,
+    report,
 )
 from alexpoly.documents import Triple
 
@@ -42,7 +44,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 F = LaurentPoly.parse("1 + 2*t^1")
 PAIR = SeifertPair([[1]], [[0]], 1, 1)
-RESULT = EntryResult("e", False, ("bad",))
+RESULT = EntryResult("e", ("bad",))
 
 # (type, field names, positional arguments, repr recorded from the dataclass)
 CASES = [
@@ -63,29 +65,28 @@ CASES = [
         "BalancedClass(representative=LaurentPoly('1 + 2*t^1'), ring=<Ring.Z: 'Z'>)",
     ),
     (
-        SkeinVerdict, ("holds", "lhs", "rhs", "residual"), (False, F, ONE, F - ONE),
-        "SkeinVerdict(holds=False, lhs=LaurentPoly('1 + 2*t^1'), rhs=LaurentPoly('1'), "
+        SkeinVerdict, ("lhs", "rhs", "residual"), (F, ONE, F - ONE),
+        "SkeinVerdict(lhs=LaurentPoly('1 + 2*t^1'), rhs=LaurentPoly('1'), "
         "residual=LaurentPoly('2*t^1'))",
     ),
     (
-        RepresentativeWitness, ("found", "shifts"), (True, ((1, 0), (-1, 2), (1, 0))),
-        "RepresentativeWitness(found=True, shifts=((1, 0), (-1, 2), (1, 0)))",
+        RepresentativeWitness, ("shifts",), (((1, 0), (-1, 2), (1, 0)),),
+        "RepresentativeWitness(shifts=((1, 0), (-1, 2), (1, 0)))",
     ),
     (
         NormalizedInput, ("pair", "middle_condition"), (PAIR, True),
         "NormalizedInput(pair=SeifertPair(S=((1,),), N=((0,),), p=1, n=1), middle_condition=True)",
     ),
     (
-        ArfData, ("nu", "a", "b"), (2, (1, 0), (0, 3)),
-        "ArfData(nu=2, a=(1, 0), b=(0, 3))",
+        ArfData, ("a", "b"), ((1, 0), (0, 3)),
+        "ArfData(a=(1, 0), b=(0, 3))",
     ),
     (
-        InvariantReport, ("polynomial", "class_z", "class_q", "scalars"),
-        (F, BalancedClass(F, Ring.Z), BalancedClass(F, Ring.Q), {"alink": 3}),
+        InvariantReport, ("polynomial", "class_z", "class_q"),
+        (F, BalancedClass(F, Ring.Z), BalancedClass(F, Ring.Q)),
         "InvariantReport(polynomial=LaurentPoly('1 + 2*t^1'), "
         "class_z=BalancedClass(representative=LaurentPoly('1 + 2*t^1'), ring=<Ring.Z: 'Z'>), "
-        "class_q=BalancedClass(representative=LaurentPoly('1 + 2*t^1'), ring=<Ring.Q: 'Q'>), "
-        "scalars=mappingproxy({'alink': 3}))",
+        "class_q=BalancedClass(representative=LaurentPoly('1 + 2*t^1'), ring=<Ring.Q: 'Q'>))",
     ),
     (
         Triple, ("plus", "minus", "zero", "move"), (F, ONE, ZERO, "pass"),
@@ -101,17 +102,15 @@ CASES = [
         "polys=(('f', LaurentPoly('1 + 2*t^1')),))",
     ),
     (
-        EntryResult, ("name", "passed", "failures"), ("e", False, ("bad",)),
-        "EntryResult(name='e', passed=False, failures=('bad',))",
+        EntryResult, ("name", "failures"), ("e", ("bad",)),
+        "EntryResult(name='e', failures=('bad',))",
     ),
     (
         CorpusReport, ("results",), ((RESULT,),),
-        "CorpusReport(results=(EntryResult(name='e', passed=False, failures=('bad',)),))",
+        "CorpusReport(results=(EntryResult(name='e', failures=('bad',)),))",
     ),
 ]
 IDS = [case[0].__name__ for case in CASES]
-# Its scalars are a mappingproxy, which neither hashes nor pickles.
-UNHASHABLE = {InvariantReport}
 
 
 @pytest.mark.parametrize("cls, fields, args, text", CASES, ids=IDS)
@@ -127,18 +126,14 @@ def test_positional_and_keyword_construction_agree(cls, fields, args, text):
 
 @pytest.mark.parametrize("cls, fields, args, text", CASES, ids=IDS)
 def test_hash_follows_equality(cls, fields, args, text):
-    if cls in UNHASHABLE:
-        with pytest.raises(TypeError):
-            hash(cls(*args))
-    else:
-        assert hash(cls(*args)) == hash(cls(**dict(zip(fields, args))))
+    assert hash(cls(*args)) == hash(cls(**dict(zip(fields, args))))
 
 
 def test_equality_needs_the_same_type_and_fields():
-    assert EntryResult("e", True, ()) != EntryResult("e", False, ())
-    assert RepresentativeWitness(False) != SkeinVerdict(False, ONE, ONE, ZERO)
+    assert EntryResult("e", ()) != EntryResult("e", ("bad",))
+    assert RepresentativeWitness() != SkeinVerdict(ONE, ONE, ZERO)
     assert SeifertPair([[1]], [[0]], 1, 1) != (((1,),), ((0,),), 1, 1)
-    assert EntryResult.__eq__(RESULT, ("e", False, ("bad",))) is NotImplemented
+    assert EntryResult.__eq__(RESULT, ("e", ("bad",))) is NotImplemented
 
 
 def test_match_binds_fields_by_position():
@@ -150,11 +145,9 @@ def test_match_binds_fields_by_position():
 
 
 def test_defaults():
-    assert RepresentativeWitness(False) == RepresentativeWitness(False, ())
+    assert RepresentativeWitness() == RepresentativeWitness(())
     entry = CorpusEntry("e", "an entry", len)
     assert (entry.pairs, entry.polys) == ((), ())
-    report = InvariantReport(F, BalancedClass(F, Ring.Z), BalancedClass(F, Ring.Q))
-    assert type(report.scalars) is MappingProxyType and report.scalars == {}
 
 
 def test_constructor_checks_still_raise():
@@ -172,13 +165,68 @@ def test_constructor_checks_still_raise():
         BalancedClass(F, "Z")
 
 
-def test_scalars_are_a_read_only_copy():
-    scalars = {"alink": 3}
-    report = InvariantReport(F, BalancedClass(F, Ring.Z), BalancedClass(F, Ring.Q), scalars)
-    scalars["alink"] = 4
-    assert report.scalars == {"alink": 3}
+def test_scalars_are_read_only_and_derived_from_the_polynomial():
+    value = InvariantReport(F, BalancedClass(F, Ring.Z), BalancedClass(F, Ring.Q))
+    assert type(value.scalars) is MappingProxyType
+    assert value.scalars == {"determinant_at_one": 3}
     with pytest.raises(TypeError):
-        report.scalars["alink"] = 5
+        value.scalars["determinant_at_one"] = 5
+    assert value.scalars == {"determinant_at_one": 3}
+    g = 4 * (T - ONE)
+    classes = (BalancedClass.from_poly(g, Ring.Z), BalancedClass.from_poly(g, Ring.Q))
+    value = InvariantReport(g, *classes)
+    assert value.scalars == {"determinant_at_one": 0, "pseudo_alinking": 4}
+
+
+# (value, a property derived from its stored fields, its value)
+DERIVED = [
+    (SkeinVerdict(F, ONE, F - ONE), "holds", False),
+    (SkeinVerdict(F, F, ZERO), "holds", True),
+    (RepresentativeWitness(), "found", False),
+    (RepresentativeWitness(((1, 0), (1, 0), (1, 0))), "found", True),
+    (EntryResult("e", ()), "passed", True),
+    (RESULT, "passed", False),
+    (ArfData((1, 0), (0, 3)), "nu", 2),
+    (InvariantReport(F, BalancedClass(F, Ring.Z), BalancedClass(F, Ring.Q)), "scalars",
+     {"determinant_at_one": 3}),
+]
+
+
+@pytest.mark.parametrize(
+    "value, name, want", DERIVED,
+    ids=["not-holds", "holds", "not-found", "found", "passed", "not-passed", "nu", "scalars"],
+)
+def test_derived_values_are_properties_of_the_stored_fields(value, name, want):
+    cls = type(value)
+    assert tuple(vars(value)) == cls.__match_args__ and name not in vars(value)
+    assert isinstance(getattr(cls, name), property) and getattr(value, name) == want
+    with pytest.raises(FrozenInstanceError, match=f"^cannot assign to field '{name}'$"):
+        setattr(value, name, want)
+    # The constructor takes no derived value, so none can contradict the fields.
+    with pytest.raises(TypeError):
+        cls(*vars(value).values(), want)
+
+
+def test_keyword_patterns_match_derived_values():
+    match SkeinVerdict(F, F, ZERO):
+        case SkeinVerdict(holds=True, residual=r):
+            assert r == ZERO
+        case _:
+            pytest.fail("no match")
+    match RepresentativeWitness():
+        case RepresentativeWitness(found=False):
+            pass
+        case _:
+            pytest.fail("no match")
+
+
+def test_report_hashes_deep_copies_and_pickles():
+    value = report(SeifertPair([[4]], [[4]], 1, 2))
+    assert hash(value) == hash(report(SeifertPair([[4]], [[4]], 1, 2)))
+    for clone in (copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(clone) is InvariantReport and clone == value
+        assert hash(clone) == hash(value)
+        assert clone.scalars == {"determinant_at_one": 0, "pseudo_alinking": 4}
 
 
 @pytest.mark.parametrize("cls, fields, args, text", CASES, ids=IDS)
@@ -196,11 +244,6 @@ def test_fields_can_be_neither_set_nor_deleted(cls, fields, args, text):
 def test_copy_deepcopy_and_pickle_give_equal_values(cls, fields, args, text):
     value = cls(*args)
     assert copy.copy(value) == value
-    if cls in UNHASHABLE:
-        for clone in (copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))):
-            with pytest.raises(TypeError, match="mappingproxy"):
-                clone(value)
-        return
     for clone in (copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
         assert type(clone) is cls and clone == value and repr(clone) == text
 

@@ -84,8 +84,8 @@ class TestSeifertPair:
         pytest.param(lambda: SeifertPair([[1]], [[1]], 0.25, 2), id="pair-float-p"),
         pytest.param(lambda: SeifertPair([[1]], [[1]], True, 2), id="pair-bool-p"),
         pytest.param(lambda: SeifertPair([[1]], [[1]], 1, 2.0), id="pair-float-n"),
-        pytest.param(lambda: ArfData(1, [0.5], [1]), id="arf-float"),
-        pytest.param(lambda: ArfData(1, [1], [True]), id="arf-bool"),
+        pytest.param(lambda: ArfData([0.5], [1]), id="arf-float"),
+        pytest.param(lambda: ArfData([1], [True]), id="arf-bool"),
         pytest.param(lambda: T**0.5, id="pow-half"),
         pytest.param(lambda: T**1.5, id="pow-float"),
         pytest.param(lambda: T.shift(1.0), id="shift-float"),
@@ -113,6 +113,11 @@ class TestAlexanderMatrix:
     def test_zero_pair(self):
         m = alexander_matrix(SeifertPair([[0, 0], [0, 0]], [[0, 0], [0, 0]], 1, 2))
         assert all(not e for row in m.entries for e in row)
+
+    def test_shape(self):
+        assert alexander_matrix(V_PLUS).shape == (2, 2)
+        assert alexander_matrix(SeifertPair([[1, 0]], [[0, 1]], 1, 2)).shape == (1, 2)
+        assert alexander_matrix(SeifertPair([], [], 1, 2)).shape == (0, 0)
 
     def test_entrywise_formula(self):
         m = alexander_matrix(V_PLUS)
@@ -267,6 +272,11 @@ class TestBasisChange:
         u = UnimodularPair(identity(3), identity(2))
         with pytest.raises(ShapeMismatch):
             basis_change(V_PLUS, u)
+
+    def test_mat_mul_shape_mismatch(self):
+        with pytest.raises(ShapeMismatch) as info:
+            mat_mul(((1, 2),), ((1,),))
+        assert str(info.value) == "cannot multiply 1x2 by 1x1"
 
 
 class TestStabilize:

@@ -428,7 +428,7 @@ class TestWideWindows:
     def test_window_past_128_is_answered(self):
         classes = _z_classes(T**128 + 1, ONE, ONE)
         assert search_window(*classes) == 129
-        assert find_representatives(*classes) == RepresentativeWitness(found=False)
+        assert find_representatives(*classes) == RepresentativeWitness()
         dm, d0 = 1 + T**4000, 1 + T**3999
         classes = _z_classes(dm + (T - 1) * d0, dm, d0)
         assert search_window(*classes) == 11_999
