@@ -26,7 +26,7 @@ from collections.abc import Iterable
 
 from .balance import BalancedClass, Ring, canonicalize
 from .corpus import run_corpus
-from .documents import Triple, laurent_from_text, laurent_to_doc, load_document
+from .documents import laurent_from_text, laurent_to_doc, load_document
 from .errors import AlexpolyError, InvalidDocument
 from .invariants import (
     NormalizedInput,
@@ -38,7 +38,7 @@ from .invariants import (
     report,
 )
 from .laurent import LaurentPoly
-from .skein import check_pass_move, check_twist_move, find_representatives, search_window
+from .skein import MOVES, Triple, find_representatives, search_window
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -86,8 +86,7 @@ def _cmd_norm(args) -> _Result:
 
 def _cmd_skein(args) -> _Result:
     triple: Triple = load_document(args.file, ("triple",))
-    check = check_pass_move if triple.move == "pass" else check_twist_move
-    verdict = check(triple.plus, triple.minus, triple.zero)
+    verdict = MOVES[triple.move](triple.plus, triple.minus, triple.zero)
     return _show(
         EXIT_OK if verdict.holds else EXIT_FAILED,
         ("move", "move", triple.move),

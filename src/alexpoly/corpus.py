@@ -10,7 +10,7 @@ values): the twist entry asks check_duality of each of its pairs.
 """
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 
 from .balance import BalancedClass, Ring, q_balanced_eq, z_balanced_eq
 from .errors import AlexpolyError

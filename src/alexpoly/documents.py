@@ -27,13 +27,12 @@ here, where input comes in, and not to the arithmetic itself.
 from __future__ import annotations
 
 import json
-from typing import Any
 
 from .errors import AlexpolyError, InvalidDocument, short_repr
 from .invariants import ArfData
 from .laurent import LaurentPoly
-from .record import _Record
 from .seifert import SeifertPair
+from .skein import Triple
 
 
 # A document is read whole before it is parsed, so a path to an endless
@@ -54,22 +53,12 @@ MAX_MATRIX_DIM = 64
 MAX_MATRIX_ENTRY = 15
 
 
-class Triple(_Record):
-    plus: LaurentPoly
-    minus: LaurentPoly
-    zero: LaurentPoly
-    move: str
-
-    def __init__(self, plus: LaurentPoly, minus: LaurentPoly, zero: LaurentPoly, move: str):
-        self.__dict__.update(plus=plus, minus=minus, zero=zero, move=move)
-
-
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise InvalidDocument(message)
 
 
-def _require_kind(obj: Any, kind: str) -> None:
+def _require_kind(obj: object, kind: str) -> None:
     """obj is a document of the given kind with exactly its keys in _KINDS."""
     _require(isinstance(obj, dict), f"{kind} document must be an object")
     _require(obj.get("kind") == kind, f"expected a document of kind {kind!r}")
@@ -95,7 +84,7 @@ def _build(kind: str, make, *args):
         raise InvalidDocument(f"bad {kind} document: {exc}") from None
 
 
-def laurent_from_doc(obj: Any) -> LaurentPoly:
+def laurent_from_doc(obj: object) -> LaurentPoly:
     """The polynomial of a laurent document; LaurentPoly checks the coefficients."""
     _require_kind(obj, "laurent")
     terms = obj["terms"]
@@ -133,7 +122,7 @@ def laurent_to_doc(f: LaurentPoly) -> dict:
     return {"kind": "laurent", "terms": {str(k): c for k, c in sorted(f.terms.items())}}
 
 
-def seifert_pair_from_doc(obj: Any) -> SeifertPair:
+def seifert_pair_from_doc(obj: object) -> SeifertPair:
     _require_kind(obj, "seifert_pair")
     for key in ("S", "N"):
         rows = obj[key]
@@ -152,15 +141,13 @@ def seifert_pair_from_doc(obj: Any) -> SeifertPair:
     return _build("seifert_pair", SeifertPair, obj["S"], obj["N"], obj["p"], obj["n"])
 
 
-def triple_from_doc(obj: Any) -> Triple:
+def triple_from_doc(obj: object) -> Triple:
     _require_kind(obj, "triple")
-    move = obj["move"]
-    _require(move in ("pass", "twist"), 'triple move must be "pass" or "twist"')
     plus, minus, zero = (laurent_from_doc(obj[key]) for key in ("plus", "minus", "zero"))
-    return Triple(plus, minus, zero, move)
+    return _build("triple", Triple, plus, minus, zero, obj["move"])
 
 
-def arf_from_doc(obj: Any) -> ArfData:
+def arf_from_doc(obj: object) -> ArfData:
     _require_kind(obj, "arf")
     for key in ("a", "b"):
         _require(isinstance(obj.get(key), list), f"arf document needs a list {key!r}")
@@ -176,7 +163,7 @@ _KINDS = {
 }
 
 
-def parse_document(obj: Any) -> SeifertPair | LaurentPoly | Triple | ArfData:
+def parse_document(obj: object) -> SeifertPair | LaurentPoly | Triple | ArfData:
     """The value a decoded document of any kind stands for."""
     _require(isinstance(obj, dict), "document must be a JSON object")
     kind = obj.get("kind")
@@ -184,7 +171,7 @@ def parse_document(obj: Any) -> SeifertPair | LaurentPoly | Triple | ArfData:
     return _KINDS[kind][1](obj)
 
 
-def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     """Decode one JSON object; a key that occurs twice is an error."""
     obj = dict(pairs)
     _require(len(obj) == len(pairs), "duplicate key in a JSON object")

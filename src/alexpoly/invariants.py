@@ -23,8 +23,8 @@ variable t, q(1) = delta'(1) = sum of (k/2)*c_k:
 """
 from __future__ import annotations
 
+from collections.abc import Mapping
 from types import MappingProxyType
-from typing import Mapping
 
 from .balance import BalancedClass, Ring, _require_integral
 from .errors import NotDivisible, PreconditionViolated, ShapeMismatch, short_repr

@@ -26,7 +26,7 @@ each of its divisions is exact in either ring.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from .errors import NotSquare, NotUnimodular, ShapeMismatch, short_repr
 from .laurent import ONE, ZERO, LaurentPoly, T, T_HALF
@@ -247,7 +247,9 @@ def det(m: AlexanderMatrix) -> LaurentPoly:
 
 def _balanced_digits(value: int, width: int) -> list[int]:
     """The digits d_j of value = sum_j d_j * 2^(width*j), balanced:
-    -2^(width-1) <= d_j < 2^(width-1).  width must be positive."""
+    -2^(width-1) <= d_j < 2^(width-1).  width must be >= 2."""
+    if width < 2:
+        raise ValueError(f"balanced digits need width >= 2, got {short_repr(width)}")
     full = 1 << width
     half, mask = full >> 1, full - 1
     digits = []

@@ -1,4 +1,4 @@
-"""Skein-style identity checks for move triples, and representative witnesses.
+"""Move triples, their skein-style identity checks, and representative witnesses.
 
 The pass-move identity compares dp - dm with (t - 1)*d0 over integer
 powers; the twist-move identity compares dp - dm with
@@ -67,6 +67,22 @@ def check_twist_move(
 ) -> SkeinVerdict:
     """Check dp - dm = (t^(1/2) - t^(-1/2)) * d0 exactly."""
     return _verdict(dp - dm, T_HALF_DIFF * d0)
+
+
+# The one table of moves: a Triple's move is a key, and its value checks the triple.
+MOVES = {"pass": check_pass_move, "twist": check_twist_move}
+
+
+class Triple(_Record):
+    plus: LaurentPoly
+    minus: LaurentPoly
+    zero: LaurentPoly
+    move: str
+
+    def __init__(self, plus: LaurentPoly, minus: LaurentPoly, zero: LaurentPoly, move: str):
+        if not (isinstance(move, str) and move in MOVES):
+            raise ValueError("move must be " + " or ".join(f'"{m}"' for m in MOVES))
+        self.__dict__.update(plus=plus, minus=minus, zero=zero, move=move)
 
 
 def search_window(

@@ -35,6 +35,10 @@ from alexpoly import (
 from alexpoly.laurent import T_HALF_DIFF, T_MINUS_ONE
 from alexpoly.seifert import IntMatrix, as_int_matrix, int_det, transpose
 
+# Moves no triple takes: near misses of a key of skein.MOVES, and JSON
+# values that are not strings.
+BAD_MOVES = ["slide", "Pass", ["pass"], {"a": 1}, 3, None]
+
 
 def random_poly(
     rng: random.Random,

@@ -22,7 +22,7 @@ from alexpoly.documents import (
     MAX_MATRIX_DIM,
     MAX_MATRIX_ENTRY,
 )
-from conftest import move_triple, random_int_matrix
+from conftest import BAD_MOVES, move_triple, random_int_matrix
 
 PAIR_4 = {"kind": "seifert_pair", "p": 1, "n": 2, "S": [[4]], "N": [[4]]}
 V_ZERO = {"kind": "seifert_pair", "p": 1, "n": 1, "S": [[-1]], "N": [[-1]]}
@@ -334,6 +334,22 @@ def test_find_reps_rejects_twist(tmp_path, capsys):
     path = write(tmp_path, "t.json", TWIST_TRIPLE)
     assert main(["find-reps", path]) == 2
     assert capsys.readouterr() == ("", f"error: {path}: find-reps needs a pass-move triple\n")
+
+
+@pytest.mark.parametrize("command", ["skein", "find-reps"])
+@pytest.mark.parametrize("move", BAD_MOVES, ids=repr)
+def test_bad_move_is_one_value_type_refusal(tmp_path, command, move):
+    path = write(tmp_path, "t.json", {**INTRO_TRIPLE, "move": move})
+    assert _run([command, path]) == (
+        2, "", f'error: {path}: bad triple document: move must be "pass" or "twist"\n'
+    )
+
+
+def test_bad_slot_is_reported_before_bad_move(tmp_path):
+    # The move is checked when the triple is built, after its three slots.
+    doc = {**INTRO_TRIPLE, "move": "slide", "zero": {"kind": "laurent", "terms": {"01": 1}}}
+    path = write(tmp_path, "t.json", doc)
+    assert _run(["skein", path]) == (2, "", f"error: {path}: bad half-exponent key '01'\n")
 
 
 def test_corpus(capsys):

@@ -31,6 +31,7 @@ from alexpoly import (
     z_balanced_eq,
 )
 from alexpoly.seifert import (
+    _balanced_digits,
     as_int_matrix,
     int_det,
     mat_mul,
@@ -651,3 +652,10 @@ def test_pencil_det_routes_by_size_times_digit_width(monkeypatch):
         got = pencil_det(pair)
         assert len(calls) == points
         assert got == pencil_det_interp_oracle(pair)
+
+
+@pytest.mark.parametrize("width", [1, 0])
+def test_balanced_digits_refuse_a_width_below_two(width):
+    # At width 1 the digits are -1 and 0, so a positive value never shrinks.
+    with pytest.raises(ValueError, match=f"^balanced digits need width >= 2, got {width}$"):
+        _balanced_digits(1, width)

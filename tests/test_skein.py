@@ -27,6 +27,7 @@ from alexpoly import skein
 from alexpoly.laurent import T_HALF_DIFF, T_MINUS_ONE
 from alexpoly.seifert import pencil_det
 from conftest import (
+    BAD_MOVES,
     find_representatives_lookup_oracle,
     find_representatives_oracle,
     move_triple,
@@ -440,3 +441,15 @@ class TestWideWindows:
         assert search_window(*classes) == 128
         witness = find_representatives(*classes)
         assert witness.shifts == ((1, 1), (1, 0), (1, 0))
+
+
+@pytest.mark.parametrize("move", BAD_MOVES, ids=repr)
+def test_triple_refuses_a_move_that_is_not_a_key_of_moves(move):
+    with pytest.raises(ValueError, match='^move must be "pass" or "twist"$'):
+        skein.Triple(ONE, ONE, ONE, move)
+
+
+def test_moves_is_the_table_of_the_two_identities():
+    assert skein.MOVES == {"pass": check_pass_move, "twist": check_twist_move}
+    for move in skein.MOVES:
+        assert skein.Triple(ONE, ONE, ONE, move).move == move
