@@ -46,7 +46,6 @@ from .seifert import (
     alexander_matrix,
     basis_change,
     check_duality,
-    check_mars_symmetry,
     det,
     intersection_form,
     normalized_matrix,
@@ -96,7 +95,6 @@ __all__ = [
     "basis_change",
     "canonicalize",
     "check_duality",
-    "check_mars_symmetry",
     "check_pass_move",
     "check_twist_move",
     "det",

@@ -96,8 +96,5 @@ class BalancedClass(_Record):
         self.__dict__.update(representative=canonicalize(f, ring), ring=ring)
         return self
 
-    def contains(self, f: LaurentPoly) -> bool:
-        return canonicalize(f, self.ring) == self.representative
-
     def __str__(self) -> str:
         return f"{self.ring.value}-class of {self.representative}"

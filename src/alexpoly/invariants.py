@@ -60,7 +60,7 @@ class NormalizedInput(_Record):
 
 
 class ArfData(_Record):
-    """Diagonal Seifert pairings lk(x_i, x_i+) and lk(y_i, y_i+), i = 1..nu."""
+    """Diagonal Seifert pairings a_i = lk(x_i, x_i+) and b_i = lk(y_i, y_i+), i = 1..len(a)."""
 
     a: tuple[int, ...]
     b: tuple[int, ...]
@@ -76,10 +76,6 @@ class ArfData(_Record):
             raise ShapeMismatch(
                 f"need as many pairings in b as in a, got {len(self.a)} and {len(self.b)}"
             )
-
-    @property
-    def nu(self) -> int:
-        return len(self.a)
 
 
 class InvariantReport(_Record):

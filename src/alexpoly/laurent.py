@@ -317,8 +317,6 @@ class LaurentPoly:
             return NotImplemented
         return self.exact_div(other)
 
-    __truediv__ = __floordiv__
-
     # -- evaluation and symmetry -------------------------------------------
 
     def eval_at_one(self) -> int:
@@ -331,7 +329,7 @@ class LaurentPoly:
 
     def is_inversion_symmetric(self) -> bool:
         """True iff the polynomial is unchanged under t -> t^-1."""
-        return all(self._terms.get(-k) == c for k, c in self._terms.items())
+        return self == self.invert_variable()
 
     # -- rendering ----------------------------------------------------------
 

@@ -68,10 +68,6 @@ def transpose(m: IntMatrix) -> IntMatrix:
     return tuple(tuple(m[i][j] for i in range(len(m))) for j in range(len(m[0])))
 
 
-def _signed_transpose(m: IntMatrix, sign: int) -> IntMatrix:
-    return tuple(tuple(sign * v for v in row) for row in transpose(m))
-
-
 def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     if a and b and len(a[0]) != len(b):
         raise ShapeMismatch(f"cannot multiply {len(a)}x{len(a[0])} by {len(b)}x{len(b[0])}")
@@ -325,16 +321,8 @@ def check_duality(pair_a: SeifertPair, pair_b: SeifertPair) -> bool:
     rows, cols = pair_a.shape
     if pair_b.shape != (cols, rows):
         raise ShapeMismatch(f"expected {cols}x{rows} partner, got {pair_b.shape}")
-    return pair_a.N == _signed_transpose(pair_b.S, (-1) ** (pair_a.p * pair_a.n + 1))
-
-
-def check_mars_symmetry(s: IntMatrix, m: int) -> bool:
-    """Whether S = (-1)^m * transpose(S) for a square integer matrix and an int m."""
-    if type(m) is not int:
-        raise TypeError(f"m must be an int, got {short_repr(m)}")
-    s = as_int_matrix(s)
-    _require_square(s, "cannot be compared with its transpose")
-    return s == _signed_transpose(s, (-1) ** m)
+    sign = (-1) ** (pair_a.p * pair_a.n + 1)
+    return pair_a.N == tuple(tuple(sign * v for v in row) for row in transpose(pair_b.S))
 
 
 def basis_change(pair: SeifertPair, u: UnimodularPair) -> SeifertPair:

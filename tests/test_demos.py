@@ -19,10 +19,10 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def readme_block(lang: str, marker: str) -> str:
-    """The README code block in the given language that contains marker."""
+    """The README code block in the given language ("" for none) that contains marker."""
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
-    blocks = re.findall(rf"```{lang}\n(.*?)```", readme, re.DOTALL)
-    (block,) = [b for b in blocks if marker in b]
+    blocks = re.findall(r"^```(\w*)\n(.*?)^```$", readme, re.DOTALL | re.MULTILINE)
+    (block,) = [b for language, b in blocks if language == lang and marker in b]
     return block
 
 
@@ -57,6 +57,13 @@ def test_readme_library_tour_prints_its_comments():
     with contextlib.redirect_stdout(out):
         exec(compile(block, "README.md", "exec"), {})
     assert out.getvalue().splitlines() == expected
+
+
+def test_readme_layout_names_every_module():
+    block = readme_block("", "src/alexpoly/")
+    named = {line.split()[0] for line in block.splitlines()[1:] if line.startswith("  ")}
+    modules = {p.name for p in (ROOT / "src" / "alexpoly").glob("*.py")} - {"__init__.py"}
+    assert named == modules
 
 
 def test_readme_limits_are_the_document_caps():

@@ -156,7 +156,6 @@ def test_triple_bad_move():
 
 def test_arf_document():
     data = arf_from_doc({"kind": "arf", "a": [1, 1], "b": [1, 0]})
-    assert data.nu == 2
     assert data.a == (1, 1)
     with pytest.raises(InvalidDocument):
         arf_from_doc({"kind": "arf", "a": [1], "b": [True]})

@@ -21,7 +21,6 @@ from alexpoly import (
     UnimodularPair,
     canonicalize,
     check_duality,
-    check_mars_symmetry,
     first_order_at_one,
     pseudo_alinking_from_poly,
     second_order_at_one,
@@ -74,7 +73,6 @@ def padded(length: int) -> LaurentPoly:
         (lambda: ONES.exact_div(2 * HALF), NotDivisible,
          f"{cut(ONES)} is not divisible by {cut(2 * HALF)}"),
         (lambda: ONES.shift(LONG), TypeError, f"a shift must be an int, got {LONG_CUT}"),
-        (lambda: check_mars_symmetry([[0]], LONG), TypeError, f"m must be an int, got {LONG_CUT}"),
         (lambda: SeifertPair([[0]], [[0]], BIG, 2), ValueError,
          f"need n >= 1 and 0 <= p <= n+1, got p={BIG_CUT}, n=2"),
         (lambda: SeifertPair([[0]], [[0]], 1, -BIG), ValueError,
@@ -98,7 +96,7 @@ def padded(length: int) -> LaurentPoly:
     ],
     ids=[
         "require-integral", "balanced-class", "alinking", "first-order", "second-order",
-        "exact-div", "shift", "mars-symmetry", "pair-p", "pair-n", "normalized-n",
+        "exact-div", "shift", "pair-p", "pair-n", "normalized-n",
         "normalized-flag", "halfexp-cap", "arf-entry", "unimodular", "duality",
         "pair-p-huge", "unimodular-huge", "duality-huge",
     ],

@@ -280,6 +280,29 @@ def test_alinking_is_class_invariant_randomized():
         assert pseudo_alinking_from_poly(f) == pseudo_alinking_from_poly(shifted)
 
 
+def test_first_order_relations_agree_on_integer_powers_randomized():
+    # On integer powers, t^(1/2) - t^(-1/2) = t^(-1/2)*(t - 1): the two
+    # divisors divide the same polynomials, and their quotients differ by
+    # a unit that is 1 at t = 1.  So the alinking number, the 2-dimensional
+    # analogue, is the linking-number relation's value up to sign.
+    rng = random.Random(SEED + 11)
+    outcomes = collections.Counter()
+    for _ in range(2000):
+        f = random_poly(rng, integral=True)
+        if rng.random() < 0.5:
+            f -= f.eval_at_one()
+        if f.eval_at_one():
+            with pytest.raises(NotDivisible):
+                pseudo_alinking_from_poly(f)
+            with pytest.raises(NotDivisible):
+                first_order_at_one(f)
+            outcomes["not divisible"] += 1
+        else:
+            assert pseudo_alinking_from_poly(f) == abs(first_order_at_one(f))
+            outcomes["agree"] += 1
+    assert min(outcomes["agree"], outcomes["not divisible"]) >= 200, outcomes
+
+
 def test_twinkling_well_defined_randomized():
     rng = random.Random(SEED + 3)
     for _ in range(1000):

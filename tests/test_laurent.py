@@ -132,8 +132,9 @@ class TestExactDiv:
         with pytest.raises(ZeroDivisionError):
             T.exact_div(ZERO)
 
-    def test_truediv_alias(self):
-        assert (T * T - 1) / (T - 1) == T + 1
+    def test_true_division_is_not_defined(self):
+        with pytest.raises(TypeError):
+            T / T
 
     def test_floordiv_is_exact_and_takes_an_int(self):
         assert (T * T - 1) // (T - 1) == T + 1

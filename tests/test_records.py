@@ -186,7 +186,6 @@ DERIVED = [
     (RepresentativeWitness(((1, 0), (1, 0), (1, 0))), "found", True),
     (EntryResult("e", ()), "passed", True),
     (RESULT, "passed", False),
-    (ArfData((1, 0), (0, 3)), "nu", 2),
     (InvariantReport(F, BalancedClass(F, Ring.Z), BalancedClass(F, Ring.Q)), "scalars",
      {"determinant_at_one": 3}),
 ]
@@ -194,7 +193,7 @@ DERIVED = [
 
 @pytest.mark.parametrize(
     "value, name, want", DERIVED,
-    ids=["not-holds", "holds", "not-found", "found", "passed", "not-passed", "nu", "scalars"],
+    ids=["not-holds", "holds", "not-found", "found", "passed", "not-passed", "scalars"],
 )
 def test_derived_values_are_properties_of_the_stored_fields(value, name, want):
     cls = type(value)

@@ -22,7 +22,6 @@ from alexpoly import (
     basis_change,
     canonicalize,
     check_duality,
-    check_mars_symmetry,
     det,
     intersection_form,
     normalized_alexander,
@@ -97,8 +96,6 @@ class TestSeifertPair:
         pytest.param(lambda: BalancedClass(T, "Z"), id="class-ring-str"),
         pytest.param(lambda: NormalizedInput(V_ZERO, "false"), id="middle-str"),
         pytest.param(lambda: NormalizedInput(V_ZERO, 0), id="middle-int"),
-        pytest.param(lambda: check_mars_symmetry([[1]], 0.5), id="mars-float"),
-        pytest.param(lambda: check_mars_symmetry([[1]], True), id="mars-bool"),
     ],
 )
 def test_constructors_reject_inexact_values(build):
@@ -230,21 +227,6 @@ class TestCheckDuality:
         b = SeifertPair([[1, 0]], [[0, 1]], 2, 2)
         with pytest.raises(ShapeMismatch):
             check_duality(a, b)
-
-
-class TestMarsSymmetry:
-    def test_skew(self):
-        assert check_mars_symmetry([[0, 1], [-1, 0]], 1)
-
-    def test_symmetric(self):
-        assert check_mars_symmetry([[0, 1], [1, 0]], 0)
-
-    def test_asymmetric(self):
-        assert not check_mars_symmetry([[-1, -1], [0, -1]], 1)
-
-    def test_not_square(self):
-        with pytest.raises(NotSquare):
-            check_mars_symmetry([[1, 2]], 0)
 
 
 class TestBasisChange:

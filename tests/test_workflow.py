@@ -1,7 +1,9 @@
-"""The CI workflow smoke-runs every benchmark workload in both trace modes.
+"""The CI workflow smoke-runs every benchmark workload in both trace modes,
+and its Python matrix starts at the floor that pyproject.toml declares.
 
-The workflow is read as text and BENCHMARK.json as JSON, so a workload
-added to the benchmark cannot go without a CI smoke run.
+The workflow and pyproject.toml are read as text (Python 3.10 has no
+tomllib) and BENCHMARK.json as JSON, so a workload added to the benchmark
+cannot go without a CI smoke run.
 """
 import json
 import re
@@ -29,3 +31,12 @@ def test_smoke_loop_names_exactly_the_benchmark_workloads():
 def test_smoke_loop_covers_both_trace_modes():
     assert loop_words("trace") == ["0", "1"]
     assert '--trace "$trace"' in WORKFLOW
+
+
+def test_python_matrix_starts_at_the_required_floor():
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    (floor,) = re.findall(r'^requires-python = ">=(\d+\.\d+)"$', pyproject, re.MULTILINE)
+    (matrix,) = re.findall(r"^\s*python-version: \[(.*)\]$", WORKFLOW, re.MULTILINE)
+    versions = re.findall(r'"(\d+\.\d+)"', matrix)
+    assert versions[0] == floor
+    assert versions == sorted(versions, key=lambda v: tuple(map(int, v.split("."))))
