@@ -58,35 +58,36 @@ def _require(condition: bool, message: str) -> None:
         raise InvalidDocument(message)
 
 
-def _require_kind(obj: object, kind: str) -> None:
-    """obj is a document of the given kind with exactly its keys in _KINDS."""
-    _require(isinstance(obj, dict), f"{kind} document must be an object")
-    _require(obj.get("kind") == kind, f"expected a document of kind {kind!r}")
-    keys = _KINDS[kind][0]
-    for key in keys:
-        _require(key in obj, f"{kind} document needs {key!r}")
-    for key in obj:
-        if key not in keys:
-            raise InvalidDocument(f"{kind} document has an unknown key {short_repr(key)}")
-
-
 def _require_halfexp_cap(halfexp: int) -> None:
     """Raise InvalidDocument when |halfexp| exceeds MAX_HALF_EXPONENT."""
     if abs(halfexp) > MAX_HALF_EXPONENT:
         raise InvalidDocument(f"half-exponent {short_repr(halfexp)} is past the cap of {MAX_HALF_EXPONENT}")
 
 
-def _build(kind: str, make, *args):
-    """make(*args), with a value type's refusal as an invalid kind document."""
+def _parse(obj: object, kind: str) -> SeifertPair | LaurentPoly | Triple | ArfData:
+    """The value of obj, an object of kind with exactly the keys of its _KINDS row.
+
+    The row's maker builds the value.  An InvalidDocument from it passes
+    through; any other refusal reads as a bad document of that kind.
+    """
+    _require(isinstance(obj, dict), f"{kind} document must be an object")
+    _require(obj.get("kind") == kind, f"expected a document of kind {kind!r}")
+    keys, make = _KINDS[kind]
+    for key in keys:
+        _require(key in obj, f"{kind} document needs {key!r}")
+    for key in obj:
+        if key not in keys:
+            raise InvalidDocument(f"{kind} document has an unknown key {short_repr(key)}")
     try:
-        return make(*args)
+        return make(obj)
+    except InvalidDocument:
+        raise
     except (AlexpolyError, ValueError, TypeError) as exc:
         raise InvalidDocument(f"bad {kind} document: {exc}") from None
 
 
-def laurent_from_doc(obj: object) -> LaurentPoly:
+def _laurent(obj: dict) -> LaurentPoly:
     """The polynomial of a laurent document; LaurentPoly checks the coefficients."""
-    _require_kind(obj, "laurent")
     terms = obj["terms"]
     if not isinstance(terms, dict):
         raise InvalidDocument("laurent document needs a terms object")
@@ -102,7 +103,7 @@ def laurent_from_doc(obj: object) -> LaurentPoly:
     if out:
         _require_halfexp_cap(min(out))
         _require_halfexp_cap(max(out))
-    return _build("laurent", LaurentPoly, out)
+    return LaurentPoly(out)
 
 
 def laurent_from_text(text: str) -> LaurentPoly:
@@ -122,8 +123,7 @@ def laurent_to_doc(f: LaurentPoly) -> dict:
     return {"kind": "laurent", "terms": {str(k): c for k, c in sorted(f.terms.items())}}
 
 
-def seifert_pair_from_doc(obj: object) -> SeifertPair:
-    _require_kind(obj, "seifert_pair")
+def _seifert_pair(obj: dict) -> SeifertPair:
     for key in ("S", "N"):
         rows = obj[key]
         _require(
@@ -138,28 +138,26 @@ def seifert_pair_from_doc(obj: object) -> SeifertPair:
             all(type(v) is not int or abs(v) <= MAX_MATRIX_ENTRY for row in rows for v in row),
             f"{key} has an entry past the cap of {MAX_MATRIX_ENTRY}",
         )
-    return _build("seifert_pair", SeifertPair, obj["S"], obj["N"], obj["p"], obj["n"])
+    return SeifertPair(obj["S"], obj["N"], obj["p"], obj["n"])
 
 
-def triple_from_doc(obj: object) -> Triple:
-    _require_kind(obj, "triple")
-    plus, minus, zero = (laurent_from_doc(obj[key]) for key in ("plus", "minus", "zero"))
-    return _build("triple", Triple, plus, minus, zero, obj["move"])
+def _triple(obj: dict) -> Triple:
+    plus, minus, zero = (_parse(obj[key], "laurent") for key in ("plus", "minus", "zero"))
+    return Triple(plus, minus, zero, obj["move"])
 
 
-def arf_from_doc(obj: object) -> ArfData:
-    _require_kind(obj, "arf")
+def _arf(obj: dict) -> ArfData:
     for key in ("a", "b"):
-        _require(isinstance(obj.get(key), list), f"arf document needs a list {key!r}")
-    return _build("arf", ArfData, obj["a"], obj["b"])
+        _require(isinstance(obj[key], list), f"arf document needs a list {key!r}")
+    return ArfData(obj["a"], obj["b"])
 
 
-# Each kind's keys, and the parser that turns such a document into a value.
+# Each kind's keys, and the maker of its value from a document _parse checked.
 _KINDS = {
-    "seifert_pair": (("kind", "p", "n", "S", "N"), seifert_pair_from_doc),
-    "laurent": (("kind", "terms"), laurent_from_doc),
-    "triple": (("kind", "move", "plus", "minus", "zero"), triple_from_doc),
-    "arf": (("kind", "a", "b"), arf_from_doc),
+    "seifert_pair": (("kind", "p", "n", "S", "N"), _seifert_pair),
+    "laurent": (("kind", "terms"), _laurent),
+    "triple": (("kind", "move", "plus", "minus", "zero"), _triple),
+    "arf": (("kind", "a", "b"), _arf),
 }
 
 
@@ -168,7 +166,7 @@ def parse_document(obj: object) -> SeifertPair | LaurentPoly | Triple | ArfData:
     _require(isinstance(obj, dict), "document must be a JSON object")
     kind = obj.get("kind")
     _require(isinstance(kind, str) and kind in _KINDS, f"unknown document kind {short_repr(kind)}")
-    return _KINDS[kind][1](obj)
+    return _parse(obj, kind)
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:

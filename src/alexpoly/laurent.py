@@ -136,12 +136,6 @@ class LaurentPoly:
         """Largest half-exponent, or None for the zero polynomial."""
         return max(self._terms) if self._terms else None
 
-    def span_halfexp(self) -> int | None:
-        """max_halfexp - min_halfexp, or None for the zero polynomial."""
-        if not self._terms:
-            return None
-        return max(self._terms) - min(self._terms)
-
     def is_integral(self) -> bool:
         """True iff only integer powers of t occur (all keys even).
 

@@ -93,8 +93,9 @@ def search_window(
     No shift of the witness find_representatives returns exceeds W.
     """
     reps = (cp.representative, cm.representative, c0.representative)
-    # Z classes have even half-exponents, which >> 1 halves exactly.
-    return 1 + sum((f.span_halfexp() or 0) >> 1 for f in reps)
+    # A canonical representative starts at t^0, so its span is its top
+    # half-exponent, which is even in a Z or Q class and >> 1 halves.
+    return 1 + sum((f.max_halfexp or 0) >> 1 for f in reps)
 
 
 def _relative_witnesses(

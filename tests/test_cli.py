@@ -21,6 +21,7 @@ from alexpoly.documents import (
     MAX_HALF_EXPONENT,
     MAX_MATRIX_DIM,
     MAX_MATRIX_ENTRY,
+    _KINDS,
 )
 from conftest import BAD_MOVES, move_triple, random_int_matrix
 
@@ -872,6 +873,13 @@ REQUIRED = {
     "triple": ("kind", "move", "plus", "minus", "zero"),
     "arf": ("kind", "a", "b"),
 }
+
+
+def test_required_keys_are_the_loaders():
+    """The near-miss fuzz below breaks every kind and key the loader checks."""
+    assert {kind: set(keys) for kind, keys in REQUIRED.items()} == {
+        kind: set(keys) for kind, (keys, _) in _KINDS.items()
+    }
 
 
 def _places(doc, path=()):

@@ -2,6 +2,7 @@
 prints its walk-through; README's examples print what README shows."""
 import contextlib
 import io
+import json
 import os
 import re
 import shlex
@@ -76,6 +77,15 @@ def test_readme_limits_are_the_document_caps():
         (f"`|e| <= {documents.MAX_MATRIX_ENTRY}`", "MAX_MATRIX_ENTRY"),
     ]:
         assert f"{stated} (`alexpoly.documents.{name}`)" in readme
+
+
+def test_readme_documents_show_each_kind_once():
+    """Each document of README's json block parses, and they show every kind once."""
+    texts = re.split(r"\n(?=\{)", readme_block("json", '"kind"').strip())
+    docs = [json.loads(text) for text in texts]
+    for doc in docs:
+        documents.parse_document(doc)
+    assert sorted(doc["kind"] for doc in docs) == sorted(documents._KINDS)
 
 
 def test_readme_shell_transcript(tmp_path, monkeypatch):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from alexpoly import (
     LaurentPoly, NotDivisible, ONE, Ring, SeifertPair, T, T_HALF, ZERO, canonicalize
 )
-from alexpoly.documents import laurent_from_doc
+from alexpoly.documents import parse_document
 from alexpoly.laurent import T_HALF_DIFF, T_MINUS_ONE
 from alexpoly.seifert import pencil_det
 from conftest import (
@@ -282,13 +282,11 @@ class TestQueries:
     def test_zero_has_no_degree_span(self):
         assert ZERO.min_halfexp is None
         assert ZERO.max_halfexp is None
-        assert ZERO.span_halfexp() is None
 
     def test_span(self):
         f = T - T_INV
         assert f.min_halfexp == -2
         assert f.max_halfexp == 2
-        assert f.span_halfexp() == 4
 
     def test_integral(self):
         assert (T - 1).is_integral()
@@ -672,7 +670,7 @@ def test_no_operation_stores_a_zero_randomized():
         nonzero = {k: c for k, c in raw.items() if c}
         assert _without_zeros(LaurentPoly(raw))._terms == nonzero
         doc = {"kind": "laurent", "terms": {str(k): c for k, c in raw.items()}}
-        assert _without_zeros(laurent_from_doc(doc))._terms == nonzero
+        assert _without_zeros(parse_document(doc))._terms == nonzero
         c, k = rng.randint(-1, 1), rng.randint(-4, 4)
         for h in (LaurentPoly.constant(c), LaurentPoly.t_power(k), LaurentPoly.half_power(k)):
             _without_zeros(h)
