@@ -10,7 +10,10 @@ intersection form S - N, whose exact determinants carry the invariants.
 Matrices are immutable tuples of tuples.  One fraction-free Bareiss
 elimination (``_bareiss``) serves every determinant and kernel, and none
 of them uses rationals: its entries are ints or Laurent polynomials, and
-each of its divisions is exact in either ring.
+each of its divisions is exact in either ring.  It is Bareiss's two-step
+elimination (Math. Comp. 22, 1968): each sweep over the rows below takes
+two pivot columns, with one exact division per entry, so it makes half
+the sweeps and half the divisions of one column per sweep.
 
 - ``int_det`` runs it on an integer matrix, ``det`` on a matrix of
   Laurent polynomials, both through one body (``_det``);
@@ -80,15 +83,27 @@ def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
 
 
 def _bareiss(rows: Sequence[Sequence]) -> tuple[list[list], list[int], list[int], int]:
-    """Fraction-free Bareiss elimination of a list copy of square rows.
+    """Fraction-free two-step Bareiss elimination of a list copy of square rows.
 
-    The entries are ints or LaurentPolys: each division by the previous
-    pivot is exact (``//``) in either ring.  Column by column, the entry in
-    row k (k the number of pivots so far) becomes the pivot, after a swap
-    with the first row below holding a nonzero entry there if it is zero;
-    a column with no nonzero entry from row k down is passed over.  Rows
-    below the pivot are updated right of the pivot column only; what they
-    hold in it and to its left is stale, and no caller reads it.
+    The entries are ints or LaurentPolys.  At step k (k pivots so far)
+    entry (i, j) is the minor on rows 0..k-1, i and on the pivot columns
+    and j, so by Sylvester's identity every division by the last pivot,
+    prev, is exact (``//``) in either ring (Bareiss, "Sylvester's identity
+    and multistep integer-preserving Gaussian elimination", Math. Comp. 22,
+    1968).  The entry in row k of the next column becomes the pivot, after
+    a swap with the first row below holding a nonzero entry there if it is
+    zero; a column with no such entry is passed over.  A sweep then takes
+    the column after it too: c0, the 2x2 minor of rows k and k+1 over prev,
+    is the next pivot, after a swap of row k+1 with the first row below
+    whose minor with row k is nonzero if it is zero.  Each row below is
+    updated right of the two columns from its own minors c1 and c2 with
+    rows k+1 and k, one pass and one division per entry for two pivots, and
+    row k+1 is brought to step k+1 from its pivot on.  In the last column, or
+    when no row gives a nonzero c0, the sweep eliminates one column, and
+    the next passes over the column without a pivot.  So the swaps, the
+    pivots and each row from its pivot column on are those of one column
+    per sweep; left of that, and in pivot columns below their pivot, a row
+    holds stale entries, and no caller reads them.
 
     Returns the eliminated rows, the pivot columns, the original index of
     each row and the sign of that row permutation.  With n pivots the
@@ -97,23 +112,56 @@ def _bareiss(rows: Sequence[Sequence]) -> tuple[list[list], list[int], list[int]
     a = [list(row) for row in rows]
     n = len(a)
     pivots, order, sign, prev = [], list(range(n)), 1, 1
-    for col in range(n):
+    col = 0
+    while col < n:
         k = len(pivots)
         if not a[k][col]:
             p = next((i for i in range(k + 1, n) if a[i][col]), None)
             if p is None:
+                col += 1
                 continue
             a[k], a[p], order[k], order[p] = a[p], a[k], order[p], order[k]
             sign = -sign
-        pivot_row = a[k]
-        pivot, tail = pivot_row[col], pivot_row[col + 1 :]
+        r0 = a[k]
+        p0 = r0[col]
+        if col + 1 < n:
+            q0 = r0[col + 1]
+            c0 = p0 * a[k + 1][col + 1] - q0 * a[k + 1][col]
+            if not c0:
+                p = next(
+                    (i for i in range(k + 2, n) if p0 * a[i][col + 1] - q0 * a[i][col]), None
+                )
+                if p is not None:
+                    a[k + 1], a[p] = a[p], a[k + 1]
+                    order[k + 1], order[p] = order[p], order[k + 1]
+                    sign = -sign
+                    c0 = p0 * a[k + 1][col + 1] - q0 * a[k + 1][col]
+            if c0:
+                c0 //= prev
+                r1 = a[k + 1]
+                u, v = r1[col], r1[col + 1]
+                t0, t1 = r0[col + 2 :], r1[col + 2 :]
+                for row in a[k + 2 :]:
+                    x, y = row[col], row[col + 1]
+                    c1, c2 = (u * y - v * x) // prev, (p0 * y - q0 * x) // prev
+                    row[col + 2 :] = [
+                        (c0 * z + c1 * s - c2 * w) // prev
+                        for z, s, w in zip(row[col + 2 :], t0, t1)
+                    ]
+                r1[col + 1 :] = [
+                    (p0 * y - u * x) // prev for x, y in zip(r0[col + 1 :], r1[col + 1 :])
+                ]
+                pivots += col, col + 1
+                prev = c0
+                col += 2
+                continue
+        tail = r0[col + 1 :]
         for row in a[k + 1 :]:
             aic = row[col]
-            row[col + 1 :] = [
-                (pivot * x - aic * y) // prev for x, y in zip(row[col + 1 :], tail)
-            ]
+            row[col + 1 :] = [(p0 * x - aic * y) // prev for x, y in zip(row[col + 1 :], tail)]
         pivots.append(col)
-        prev = pivot
+        prev = p0
+        col += 1
     return a, pivots, order, sign
 
 
@@ -275,16 +323,20 @@ def pencil_det(pair: SeifertPair) -> LaurentPoly:
     determinants are 0, and the digits unpack to ZERO.  A pair that is
     not square raises NotSquare from int_det.
 
-    Cost: m^3/3 steps per elimination, on integers of up to about m*b
+    Cost: about m^3/6 entry updates per two-step elimination, each of
+    three products and one exact division, on integers of up to about m*b
     bits at X = 2^b and about 2*m*b at X = 2^(2b), where b is a quarter of
-    the bits of h2 (so b grows linearly in m).  While m*b <= 512 a step
+    the bits of h2 (so b grows linearly in m).  While m*b <= 512 an update
     costs mostly interpreter overhead, whatever the length of its
-    integers, so one point is 1.2-1.8x faster than two.  The two cost
-    about the same for m*b from 600 to 800; above that the quadratic
-    division of the longer integers makes one point slower (0.8x at
-    m*b = 1,150).  Below m = 40 either route beats m + 1 eliminations on
-    small integers; towards the 64 x 64 cap the big-integer division
-    dominates and it takes a few seconds.
+    integers, so one point is 1.15-1.95x faster than two.  The two cost
+    about the same at m*b = 610-690, so the crossover lies near 650-700;
+    above that the quadratic division of the longer integers makes one
+    point slower (0.9x at m*b = 780, 0.8x at 1,100).  These are int_det
+    times at each route's points, medians of 15 interleaved batches over
+    random +-3, knot-like, +-100 and +-10^6 pairs of size 4 to 22
+    (Python 3.11.7, 2-vCPU VM).  Below m = 40 either route beats m + 1
+    eliminations on small integers; at the 64 x 64 cap the big-integer
+    division dominates and two points take about 3.3 s on +-3 entries.
     """
     h2 = 1
     for srow, nrow in zip(pair.S, pair.N):

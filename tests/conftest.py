@@ -1,11 +1,12 @@
 """Shared random generators and independent oracles for the test suite.
 
 The oracles here deliberately avoid the library's own code paths:
-determinants are expanded over permutations or cofactors, products are
-convolved on raw dicts, exact quotients come from a long division that
-rescans the remainder for its lowest term at every step (and the values
-at t = 1 of quotients by t - 1 and t^(1/2) - t^(-1/2) from that
-division rather than from coefficient sums), Seifert pencil
+determinants are expanded over permutations or cofactors or eliminated
+one pivot column per sweep, products are convolved on raw dicts, exact
+quotients come from a long division that rescans the remainder for its
+lowest term at every step (and the values at t = 1 of quotients by
+t - 1 and t^(1/2) - t^(-1/2) from that division rather than from
+coefficient sums), Seifert pencil
 determinants are interpolated from m + 1 integer values instead of being
 unpacked from two large ones, balanced equality is decided by
 cross-multiplying contents rather than by canonical forms,
@@ -33,7 +34,7 @@ from alexpoly import (
     search_window,
 )
 from alexpoly.laurent import T_HALF_DIFF, T_MINUS_ONE
-from alexpoly.seifert import IntMatrix, as_int_matrix, int_det, transpose
+from alexpoly.seifert import IntMatrix, as_int_matrix, transpose
 
 # Moves no triple takes: near misses of a key of skein.MOVES, and JSON
 # values that are not strings.
@@ -255,12 +256,57 @@ def cofactor_det_oracle(rows) -> LaurentPoly:
     return total
 
 
+def one_step_bareiss_oracle(rows):
+    """One-step fraction-free Bareiss elimination of a list copy of square
+    rows, with the return value of seifert._bareiss.
+
+    The entries are ints or LaurentPolys.  Column by column, the entry in
+    row k (k the number of pivots so far) becomes the pivot, after a swap
+    with the first row below holding a nonzero entry there if it is zero;
+    a column with no nonzero entry from row k down is passed over.  Rows
+    below the pivot are updated right of the pivot column only, and each
+    update divides exactly by the previous pivot.  Returns the eliminated
+    rows, the pivot columns, the original index of each row and the sign
+    of that row permutation.
+    """
+    a = [list(row) for row in rows]
+    n = len(a)
+    pivots, order, sign, prev = [], list(range(n)), 1, 1
+    for col in range(n):
+        k = len(pivots)
+        if not a[k][col]:
+            p = next((i for i in range(k + 1, n) if a[i][col]), None)
+            if p is None:
+                continue
+            a[k], a[p], order[k], order[p] = a[p], a[k], order[p], order[k]
+            sign = -sign
+        pivot_row = a[k]
+        pivot, tail = pivot_row[col], pivot_row[col + 1 :]
+        for row in a[k + 1 :]:
+            aic = row[col]
+            row[col + 1 :] = [
+                (pivot * x - aic * y) // prev for x, y in zip(row[col + 1 :], tail)
+            ]
+        pivots.append(col)
+        prev = pivot
+    return a, pivots, order, sign
+
+
+def one_step_det_oracle(rows, one, zero):
+    """Determinant of square rows over the ring of one and zero, from
+    one_step_bareiss_oracle: the sign times the last of n pivots, else zero."""
+    if not rows:
+        return one
+    a, pivots, _, sign = one_step_bareiss_oracle(rows)
+    return sign * a[-1][-1] if len(pivots) == len(a) else zero
+
+
 def pencil_det_interp_oracle(pair: SeifertPair) -> LaurentPoly:
     """det(t*S - N) of a square pair, by evaluation and interpolation.
 
     The determinant f is an integer polynomial of degree at most n in t,
     n the matrix size (not pair.n), so its values at t = 0..n fix it.
-    Each value is an integer Bareiss determinant.  Step k of the forward
+    Each value is a one-step Bareiss determinant.  Step k of the forward
     differences is divided by k, which is exact: it leaves Delta^k f(i)/k!,
     and those Newton coefficients of an integer polynomial at consecutive
     integer nodes are integers.  The Newton form is then expanded to
@@ -272,7 +318,9 @@ def pencil_det_interp_oracle(pair: SeifertPair) -> LaurentPoly:
     n = rows
     pencil = tuple(zip(pair.S, pair.N))
     coeffs = [
-        int_det([[x * s - v for s, v in zip(srow, nrow)] for srow, nrow in pencil])
+        one_step_det_oracle(
+            [[x * s - v for s, v in zip(srow, nrow)] for srow, nrow in pencil], 1, 0
+        )
         for x in range(n + 1)
     ]
     for k in range(1, n + 1):

@@ -386,7 +386,8 @@ def test_wrong_document_kind(tmp_path, capsys):
     assert main(["alex", write(tmp_path, "a.json", doc)]) == 2
 
 
-# (command, file content, a part of the reason, byte cap to patch in or None)
+# (command, file content, a part of the reason or None to ask the interpreter,
+# byte cap to patch in or None)
 LOAD_FAILURES = {
     "missing key": ("alink", '{"kind": "laurent"}', "laurent document needs 'terms'", None),
     "unknown key": ("alink", '{"kind": "laurent", "terms": {}, "x": 0}', "unknown key 'x'", None),
@@ -403,8 +404,7 @@ LOAD_FAILURES = {
     "byte cap": ("alink", json.dumps(PAIR_4), "past the cap of 10 bytes", 10),
     "0xff byte": ("alex", b'{"kind": "\xff"}', "can't decode byte 0xff", None),
     "4,400 digits": (
-        "alink", '{"kind": "laurent", "terms": {"0": ' + "9" * 4400 + "}}",
-        "Exceeds the limit (4300 digits)", None,
+        "alink", '{"kind": "laurent", "terms": {"0": ' + "9" * 4400 + "}}", None, None,
     ),
     "wrong kind": ("alex", '{"kind": "laurent", "terms": {}}', "got laurent", None),
     "unhashable kind": ("alex", '{"kind": []}', "unknown document kind []", None),
@@ -414,8 +414,15 @@ LOAD_FAILURES = {
 @pytest.mark.parametrize("case", list(LOAD_FAILURES))
 def test_every_load_failure_names_the_file(tmp_path, monkeypatch, case):
     command, content, reason, cap = LOAD_FAILURES[case]
-    if case == "4,400 digits" and not hasattr(sys, "get_int_max_str_digits"):
-        pytest.skip("this Python has no digit limit on int()")
+    if case == "4,400 digits":
+        # The digit limit's wording differs between Python versions (3.10
+        # writes "(4300)" where 3.11 writes "(4300 digits)"), so ask int().
+        try:
+            int("9" * 4400)
+        except ValueError as limit:
+            reason = str(limit)
+        else:
+            pytest.skip("this Python has no digit limit on int()")
     if cap is not None:
         monkeypatch.setattr("alexpoly.documents.MAX_DOCUMENT_BYTES", cap)
     path = tmp_path / "doc.json"

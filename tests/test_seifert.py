@@ -1,3 +1,4 @@
+import collections
 import random
 
 import pytest
@@ -31,6 +32,9 @@ from alexpoly import (
 )
 from alexpoly.seifert import (
     _balanced_digits,
+    _bareiss,
+    _corank_one_kernel,
+    _pencil,
     as_int_matrix,
     int_det,
     mat_mul,
@@ -40,6 +44,8 @@ from alexpoly.seifert import (
 from conftest import (
     cofactor_det_oracle,
     identity,
+    one_step_bareiss_oracle,
+    one_step_det_oracle,
     pencil_det_interp_oracle,
     perm_det_int_oracle,
     perm_det_oracle,
@@ -293,10 +299,15 @@ class TestStabilize:
 
 
 def _with_elimination_edits(rng, m, zero):
-    """m, then for size 2 and up three edits that random entries seldom
+    """m, then for size 2 and up five edits that random entries seldom
     give: a zero (0, 0) entry, which forces a row swap; a zero column
-    before the last, which has no pivot; and one column repeated in
-    another, which leaves a later column without a pivot."""
+    before the last, which has no pivot; one column repeated in another,
+    which leaves a later column without a pivot; row r, r odd and below
+    n - 1 where n allows, made a combination of the rows above in its
+    first r + 1 entries, so that the leading minor of size r + 1 is zero
+    and the second pivot of a two-step sweep needs a swap; and column
+    c + 1, c even, a multiple of column c, so that no row gives a sweep
+    at column c its second pivot."""
     yield m
     n = len(m)
     if n < 2:
@@ -305,6 +316,11 @@ def _with_elimination_edits(rng, m, zero):
     yield ((zero,) + m[0][1:],) + m[1:]
     yield tuple(row[:blank] + (zero,) + row[blank + 1 :] for row in m)
     yield tuple(row[:dst] + (row[src],) + row[dst + 1 :] for row in m)
+    r, weights = rng.randrange(1, max(n - 1, 2), 2), [rng.randint(-2, 2) for _ in range(n)]
+    head = tuple(sum((w * row[j] for w, row in zip(weights, m[:r])), zero) for j in range(r + 1))
+    yield m[:r] + (head + m[r][r + 1 :],) + m[r + 1 :]
+    c, factor = rng.randrange(0, n - 1, 2), rng.choice((-2, -1, 1, 2))
+    yield tuple(row[: c + 1] + (factor * row[c],) + row[c + 2 :] for row in m)
 
 
 def test_int_det_matches_oracle_randomized():
@@ -641,3 +657,70 @@ def test_balanced_digits_refuse_a_width_below_two(width):
     # At width 1 the digits are -1 and 0, so a positive value never shrinks.
     with pytest.raises(ValueError, match=f"^balanced digits need width >= 2, got {width}$"):
         _balanced_digits(1, width)
+
+
+def _elimination_cases(rng: random.Random, n: int):
+    """(integer matrices, Laurent matrices) of size n: a random matrix, and
+    S - N and x*S - N of every _pencil_kinds pair, singular pencils and
+    zero rows among them; t*S - N of each pair."""
+    pairs = list(_pencil_kinds(rng, n))
+    x = rng.choice((3, -(1 << 20), 1 << 40))
+    ints = [random_int_matrix(rng, n, n)]
+    for pair in pairs:
+        ints += intersection_form(pair), tuple(map(tuple, _pencil(pair, x, 1)))
+    return ints, [alexander_matrix(pair).entries for pair in pairs]
+
+
+def test_elimination_matches_one_step_oracle_randomized():
+    """The two-step elimination against the one-step one on sizes 0..12,
+    with every elimination edit: the same swaps, sign and pivot columns,
+    every row the same from its pivot column on, and so the same int_det,
+    det and _corank_one_kernel."""
+    rng, edits = random.Random(SEED + 16), random.Random(SEED + 17)
+    seen = collections.Counter()
+    for n in range(13):
+        for rep in range(4):
+            ints, laurents = _elimination_cases(rng, n)
+            for m in (m for base in ints for m in _with_elimination_edits(edits, base, 0)):
+                a, pivots, order, sign = _bareiss(m)
+                want = one_step_bareiss_oracle(m)
+                assert (pivots, order, sign) == want[1:], m
+                for row, want_row, col in zip(a, want[0], pivots):
+                    assert row[col:] == want_row[col:], m
+                assert int_det(m) == one_step_det_oracle(m, 1, 0), m
+                kernel = _corank_one_kernel(m)
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr("alexpoly.seifert._bareiss", one_step_bareiss_oracle)
+                    assert kernel == _corank_one_kernel(m), m
+                seen[n % 2, len(pivots) == n, kernel is not None] += 1
+            if rep:
+                continue  # the Laurent eliminations cost ten times the integer ones
+            for m in (m for base in laurents for m in _with_elimination_edits(edits, base, ZERO)):
+                assert det(AlexanderMatrix(m)) == one_step_det_oracle(m, ONE, ZERO), m
+    # Odd and even sizes each give full-rank matrices, corank-one ones and
+    # lower ranks.
+    for parity in (0, 1):
+        assert seen[parity, True, False] > 400
+        assert seen[parity, False, True] > 600
+        assert seen[parity, False, False] > 10
+
+
+def test_every_determinant_and_kernel_runs_the_one_elimination(monkeypatch):
+    """int_det, det and _corank_one_kernel each run seifert._bareiss once
+    at sizes 1 to 21, so no second elimination serves any of them."""
+    calls = []
+    monkeypatch.setattr(
+        "alexpoly.seifert._bareiss", lambda rows: calls.append(rows) or _bareiss(rows)
+    )
+    rng = random.Random(SEED + 18)
+    for n in (1, 2, 3, 8, 13, 21):
+        pair = SeifertPair(random_int_matrix(rng, n, n), random_int_matrix(rng, n, n), 1, 2)
+        form = intersection_form(pair)
+        for run in (
+            lambda: int_det(form),
+            lambda: det(alexander_matrix(pair)),
+            lambda: _corank_one_kernel(form),
+        ):
+            calls.clear()
+            run()
+            assert len(calls) == 1, (n, run)
