@@ -45,11 +45,11 @@ MAX_DOCUMENT_BYTES = 64 * 2**20
 # t^0..t^50000 take under 0.2 s for the whole process (2-vCPU Xeon VM).
 MAX_HALF_EXPONENT = 100_000
 # pencil_det does two integer Bareiss eliminations of an n x n matrix with
-# entries of O(n) bits: about 3.3-3.6 s at n = 64 with entries in [-3, 3]
+# entries of O(n) bits: about 3.5-3.8 s at n = 64 with entries in [-3, 3]
 # on a 2-vCPU Xeon VM.
 MAX_MATRIX_DIM = 64
 # The bits grow with the entries: with every entry +-15, n = 64 takes
-# 7.0 s on a VM where the [-3, 3] case takes 3.6 s: about twice.
+# 7.8-8.6 s on the same VM, about 2.3 times the [-3, 3] case.
 MAX_MATRIX_ENTRY = 15
 
 

@@ -13,7 +13,8 @@ of them uses rationals: its entries are ints or Laurent polynomials, and
 each of its divisions is exact in either ring.  It is Bareiss's two-step
 elimination (Math. Comp. 22, 1968): each sweep over the rows below takes
 two pivot columns, with one exact division per entry, so it makes half
-the sweeps and half the divisions of one column per sweep.
+the sweeps and half the divisions of one column per sweep, and it leaves
+the second row of the two at the first column's step.
 
 - ``int_det`` runs it on an integer matrix, ``det`` on a matrix of
   Laurent polynomials, both through one body (``_det``);
@@ -24,12 +25,14 @@ the sweeps and half the divisions of one column per sweep.
   entries are half as long; it unpacks the coefficients from the values'
   binary digits (the normalized determinant is that polynomial shifted);
 - ``_corank_one_kernel`` reads the kernel of an integer matrix such as
-  S - N off it by back substitution.
+  S - N off it by back substitution, solving each two-column block of
+  the elimination as one 2x2 system.
 """
 from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Sequence
+from operator import mul
 
 from .errors import NotSquare, NotUnimodular, ShapeMismatch, short_repr
 from .laurent import ONE, ZERO, LaurentPoly, T, T_HALF
@@ -97,13 +100,16 @@ def _bareiss(rows: Sequence[Sequence]) -> tuple[list[list], list[int], list[int]
     is the next pivot, after a swap of row k+1 with the first row below
     whose minor with row k is nonzero if it is zero.  Each row below is
     updated right of the two columns from its own minors c1 and c2 with
-    rows k+1 and k, one pass and one division per entry for two pivots, and
-    row k+1 is brought to step k+1 from its pivot on.  In the last column, or
-    when no row gives a nonzero c0, the sweep eliminates one column, and
-    the next passes over the column without a pivot.  So the swaps, the
-    pivots and each row from its pivot column on are those of one column
-    per sweep; left of that, and in pivot columns below their pivot, a row
-    holds stale entries, and no caller reads them.
+    rows k+1 and k, one pass and one division per entry for two pivots.
+    Row k+1 stays at step k but for its pivot entry, which becomes c0.  In
+    the last column, or when no row gives a nonzero c0, the sweep
+    eliminates one column, and the next passes over the column without a
+    pivot.  So the swaps, the sign, the pivots and the pivot entries are
+    those of one column per sweep, and so is each row from its pivot column
+    on, except the second row of a two-step block: right of its pivot it
+    holds step-k entries, which _corank_one_kernel reads as such.  Left of
+    the pivot column, and in pivot columns below their pivot, a row holds
+    stale entries, and no caller reads them.
 
     Returns the eliminated rows, the pivot columns, the original index of
     each row and the sign of that row permutation.  With n pivots the
@@ -148,9 +154,7 @@ def _bareiss(rows: Sequence[Sequence]) -> tuple[list[list], list[int], list[int]
                         (c0 * z + c1 * s - c2 * w) // prev
                         for z, s, w in zip(row[col + 2 :], t0, t1)
                     ]
-                r1[col + 1 :] = [
-                    (p0 * y - u * x) // prev for x, y in zip(r0[col + 1 :], r1[col + 1 :])
-                ]
+                r1[col + 1] = c0
                 pivots += col, col + 1
                 prev = c0
                 col += 2
@@ -183,6 +187,17 @@ def _corank_one_kernel(m: IntMatrix) -> tuple[list[int], int, int] | None:
     column, is exact by Cramer's rule and gives column `row` of adj(m) up
     to sign: g*y with y primitive.  As adj(m) = c*y*x^t, x the primitive
     left kernel vector, m has Smith form diag(1, ..., 1, 0) iff g == |x[row]|.
+
+    The pivots are read in blocks from the left: a pivot c followed by
+    c + 1 is a two-step block, whose rows k and k+1 are both at step k,
+    and any other pivot is a one-step row.  No flag is needed, as a
+    one-step sweep at c leaves column c + 1 without a pivot: its swap
+    search found every 2x2 minor below to be zero.  A block has pivot
+    row entries p0, q0 and second row entries u (and c0 for its pivot);
+    with s0 and s1 the sums of its two rows against y right of the block
+    and prev the pivot before it (1 for the first), its two equations give
+    prev*c0*y[c+1] = -(p0*s1 - u*s0) and p0*y[c] = -(q0*y[c+1] + s0).
+    Both divisions are exact, as the integer vector y solves them.
     """
     n = len(m)
     if any(len(r) != n for r in m):
@@ -192,8 +207,20 @@ def _corank_one_kernel(m: IntMatrix) -> tuple[list[int], int, int] | None:
         return None
     last = a[n - 2][pivots[-1]] if pivots else 1
     y = [0 if j in pivots else last for j in range(n)]
-    for col, row in zip(reversed(pivots), reversed(a[: n - 1])):
-        y[col] = -sum(v * w for v, w in zip(row[col + 1 :], y[col + 1 :])) // row[col]
+    blocks, k = [], 0
+    while k < n - 1:
+        width = 2 if pivots[k + 1 : k + 2] == [pivots[k] + 1] else 1
+        blocks.append((k, width))
+        k += width
+    for k, width in reversed(blocks):
+        c, r0 = pivots[k], a[k]
+        s0 = sum(map(mul, r0[c + 1 :], y[c + 1 :]))
+        if width == 2:
+            r1, prev = a[k + 1], a[k - 1][pivots[k - 1]] if k else 1
+            s1 = sum(map(mul, r1[c + 2 :], y[c + 2 :]))
+            y[c + 1] = -(r0[c] * s1 - r1[c] * s0) // (prev * r1[c + 1])
+            s0 += r0[c + 1] * y[c + 1]
+        y[c] = -s0 // r0[c]
     g = math.gcd(*y)
     return [v // g for v in y], order[n - 1], g
 
@@ -328,20 +355,21 @@ def pencil_det(pair: SeifertPair) -> LaurentPoly:
     bits at X = 2^b and about 2*m*b at X = 2^(2b), where b is a quarter of
     the bits of h2 (so b grows linearly in m).  While m*b <= 512 an update
     costs mostly interpreter overhead, whatever the length of its
-    integers, so one point is 1.15-1.95x faster than two.  The two cost
+    integers, so one point is 1.15-2.05x faster than two.  The two cost
     about the same at m*b = 610-690, so the crossover lies near 650-700;
     above that the quadratic division of the longer integers makes one
-    point slower (0.9x at m*b = 780, 0.8x at 1,100).  These are int_det
-    times at each route's points, medians of 15 interleaved batches over
-    random +-3, knot-like, +-100 and +-10^6 pairs of size 4 to 22
-    (Python 3.11.7, 2-vCPU VM).  Below m = 40 either route beats m + 1
-    eliminations on small integers; at the 64 x 64 cap the big-integer
-    division dominates and two points take about 3.3 s on +-3 entries.
+    point slower (0.9x at m*b = 780, 0.8x at 1,100, 0.6x at 5,300).
+    These are int_det times at each route's points, medians of 15
+    interleaved batches over random +-3, knot-like, +-100 and +-10^6 pairs
+    of size 4 to 22 (Python 3.11.7, 2-vCPU VM).  Below m = 40 either
+    route beats m + 1 eliminations on small integers; at the 64 x 64 cap
+    the big-integer division dominates and two points take 3.5-3.8 s on
+    +-3 entries.
     """
     h2 = 1
     for srow, nrow in zip(pair.S, pair.N):
-        h2 *= sum(s * s + v * v for s, v in zip(srow, nrow)) + 2 * abs(
-            sum(s * v for s, v in zip(srow, nrow))
+        h2 *= sum(map(mul, srow, srow)) + sum(map(mul, nrow, nrow)) + 2 * abs(
+            sum(map(mul, srow, nrow))
         )
     b = (h2.bit_length() + 5) // 4
     if len(pair.S) * b <= 512:

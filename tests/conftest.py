@@ -2,7 +2,8 @@
 
 The oracles here deliberately avoid the library's own code paths:
 determinants are expanded over permutations or cofactors or eliminated
-one pivot column per sweep, products are convolved on raw dicts, exact
+one pivot column per sweep (and kernels back-substituted one pivot row
+at a time), products are convolved on raw dicts, exact
 quotients come from a long division that rescans the remainder for its
 lowest term at every step (and the values at t = 1 of quotients by
 t - 1 and t^(1/2) - t^(-1/2) from that division rather than from
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import collections
 import itertools
+import math
 import random
 import re
 
@@ -290,6 +292,26 @@ def one_step_bareiss_oracle(rows):
         pivots.append(col)
         prev = pivot
     return a, pivots, order, sign
+
+
+def corank_one_kernel_oracle(m: IntMatrix):
+    """seifert._corank_one_kernel by back substitution, one pivot row at a
+    time, on one_step_bareiss_oracle's rows: (y, row, g) for a square
+    integer matrix of rank size - 1, else None.  y[free] is the last
+    pivot, so by Cramer's rule g*y is a column of adj(m) up to sign, y
+    primitive, and row is the original index of the row reduced to zero."""
+    n = len(m)
+    if any(len(r) != n for r in m):
+        return None
+    a, pivots, order, _ = one_step_bareiss_oracle(m)
+    if len(pivots) != n - 1:
+        return None
+    last = a[n - 2][pivots[-1]] if pivots else 1
+    y = [0 if j in pivots else last for j in range(n)]
+    for col, row in zip(reversed(pivots), reversed(a[: n - 1])):
+        y[col] = -sum(v * w for v, w in zip(row[col + 1 :], y[col + 1 :])) // row[col]
+    g = math.gcd(*y)
+    return [v // g for v in y], order[n - 1], g
 
 
 def one_step_det_oracle(rows, one, zero):

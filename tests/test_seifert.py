@@ -31,6 +31,7 @@ from alexpoly import (
     z_balanced_eq,
 )
 from alexpoly.seifert import (
+    IntMatrix,
     _balanced_digits,
     _bareiss,
     _corank_one_kernel,
@@ -43,6 +44,7 @@ from alexpoly.seifert import (
 )
 from conftest import (
     cofactor_det_oracle,
+    corank_one_kernel_oracle,
     identity,
     one_step_bareiss_oracle,
     one_step_det_oracle,
@@ -671,11 +673,25 @@ def _elimination_cases(rng: random.Random, n: int):
     return ints, [alexander_matrix(pair).entries for pair in pairs]
 
 
+def _blocks(pivots):
+    """(k, width) for each block of a pivot list read greedily from the
+    left: pivot k and pivot k + 1 form a two-step block (width 2) when
+    their columns are adjacent, and any other pivot is a one-step row."""
+    blocks, k = [], 0
+    while k < len(pivots):
+        width = 2 if pivots[k + 1 : k + 2] == [pivots[k] + 1] else 1
+        blocks.append((k, width))
+        k += width
+    return blocks
+
+
 def test_elimination_matches_one_step_oracle_randomized():
     """The two-step elimination against the one-step one on sizes 0..12,
-    with every elimination edit: the same swaps, sign and pivot columns,
-    every row the same from its pivot column on, and so the same int_det,
-    det and _corank_one_kernel."""
+    with every elimination edit: the same swaps, sign and pivot columns;
+    every one-step row and first row of a block the same from its pivot
+    column on; the second row of each block at the step before, so that
+    it has the same pivot entry and, advanced one step, the same entries
+    right of it; and so the same int_det, det and kernel."""
     rng, edits = random.Random(SEED + 16), random.Random(SEED + 17)
     seen = collections.Counter()
     for n in range(13):
@@ -685,24 +701,91 @@ def test_elimination_matches_one_step_oracle_randomized():
                 a, pivots, order, sign = _bareiss(m)
                 want = one_step_bareiss_oracle(m)
                 assert (pivots, order, sign) == want[1:], m
-                for row, want_row, col in zip(a, want[0], pivots):
-                    assert row[col:] == want_row[col:], m
+                for k, width in _blocks(pivots):
+                    c = pivots[k]
+                    assert a[k][c:] == want[0][k][c:], m
+                    if width == 2:
+                        r0, r1 = a[k], a[k + 1]
+                        prev = want[0][k - 1][pivots[k - 1]] if k else 1
+                        assert r1[c + 1] == want[0][k + 1][c + 1], m
+                        advanced = [
+                            (r0[c] * y - r1[c] * x) // prev
+                            for x, y in zip(r0[c + 2 :], r1[c + 2 :])
+                        ]
+                        assert advanced == want[0][k + 1][c + 2 :], m
+                    seen["block" if width == 2 else "one-step"] += 1
                 assert int_det(m) == one_step_det_oracle(m, 1, 0), m
                 kernel = _corank_one_kernel(m)
-                with pytest.MonkeyPatch.context() as patch:
-                    patch.setattr("alexpoly.seifert._bareiss", one_step_bareiss_oracle)
-                    assert kernel == _corank_one_kernel(m), m
+                assert kernel == corank_one_kernel_oracle(m), m
                 seen[n % 2, len(pivots) == n, kernel is not None] += 1
             if rep:
                 continue  # the Laurent eliminations cost ten times the integer ones
             for m in (m for base in laurents for m in _with_elimination_edits(edits, base, ZERO)):
                 assert det(AlexanderMatrix(m)) == one_step_det_oracle(m, ONE, ZERO), m
     # Odd and even sizes each give full-rank matrices, corank-one ones and
-    # lower ranks.
+    # lower ranks; both kinds of pivot row occur.
     for parity in (0, 1):
         assert seen[parity, True, False] > 400
         assert seen[parity, False, True] > 600
         assert seen[parity, False, False] > 10
+    assert seen["block"] > 1000 and seen["one-step"] > 1000
+
+
+def _corank_one_matrix(rng: random.Random, n: int, free: int, swap: bool) -> IntMatrix:
+    """An n x n integer matrix whose column `free` is a combination of the
+    columns before it (zero if free = 0), the others random.  With swap,
+    rows 0 and 1 agree up to a factor in columns 0 and 1, so that the
+    leading 2x2 minor is zero and a block at columns 0 and 1 takes its
+    second pivot from a lower row."""
+    cols = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n - 1)]
+    if swap:
+        factor = rng.choice((-2, -1, 1, 2))
+        for col in cols[:2]:
+            col[0] = col[0] or 1
+            col[1] = factor * col[0]
+    weights = [rng.choice((-1, 1)) for _ in range(free)]
+    combination = [sum(w * col[i] for w, col in zip(weights, cols)) for i in range(n)]
+    cols.insert(free, combination)
+    return tuple(tuple(col[i] for col in cols) for i in range(n))
+
+
+def test_kernel_at_every_block_boundary():
+    """Corank-one matrices built so that the pivot list pairs in every
+    shape: a one-step pivot before the last followed by a two-step block
+    (its sweep found every lower 2x2 minor zero), an odd size whose last
+    column is one-step, four adjacent pivots (two blocks in a row), and a
+    block whose second pivot needs a row swap.  Each kernel equals the one
+    of the one-step elimination and back substitution."""
+    rng = random.Random(SEED + 19)
+    seen = collections.Counter()
+    for _ in range(60):
+        for n in range(2, 12):
+            for free in range(n):
+                swap = free >= 2 and rng.random() < 0.5
+                m = _corank_one_matrix(rng, n, free, swap)
+                kernel = _corank_one_kernel(m)
+                assert kernel == corank_one_kernel_oracle(m), m
+                if kernel is None:
+                    continue
+                pivots = one_step_bareiss_oracle(m)[1]
+                blocks = _blocks(pivots)
+                seen["kernel"] += 1
+                seen["one-step before a block"] += any(
+                    width == 1 and nxt == 2 for (_, width), (_, nxt) in zip(blocks, blocks[1:])
+                )
+                seen["odd size, last column one-step"] += (
+                    n % 2 == 1 and blocks[-1][1] == 1 and pivots[-1] == n - 1
+                )
+                seen["four adjacent pivots"] += any(
+                    w0 == w1 == 2 and pivots[k1] == pivots[k0] + 2
+                    for (k0, w0), (k1, w1) in zip(blocks, blocks[1:])
+                )
+                seen["second-pivot swap"] += (
+                    m[0][0] != 0
+                    and m[0][0] * m[1][1] == m[0][1] * m[1][0]
+                    and pivots[:2] == [0, 1]
+                )
+    assert len(seen) == 5 and min(seen.values()) > 500, seen
 
 
 def test_every_determinant_and_kernel_runs_the_one_elimination(monkeypatch):
