@@ -23,7 +23,12 @@ the second row of the two at the first column's step.
   at x = 2^(2b) while m*b <= 512, where interpreter overhead outweighs
   the big-integer work, else from two at x = 2^b and x = -2^b, whose
   entries are half as long; it unpacks the coefficients from the values'
-  binary digits (the normalized determinant is that polynomial shifted);
+  binary digits (the normalized determinant is that polynomial shifted).
+  A pair with N = sigma*S^t, sigma = +-1, has mirrored coefficients,
+  c_k = (-sigma)^m * c_(m-k), and takes one determinant at x = 2^(b+1):
+  each |c_k| is below x^2/8, so the lower terms move the top digits by
+  less than x/4, and the top digits with the low digit's residue fix
+  each mirrored pair exactly;
 - ``_corank_one_kernel`` reads the kernel of an integer matrix such as
   S - N off it by back substitution, solving each two-column block of
   the elimination as one 2x2 system.
@@ -333,6 +338,35 @@ def _balanced_digits(value: int, width: int) -> list[int]:
     return digits
 
 
+def _mirrored_digits(value: int, width: int, size: int, sign: int) -> list[int]:
+    """The coefficients c_0..c_size of the integer polynomial f with
+    value = f(2^width), given c_k = sign*c_(size-k) and |c_k| < 2^(2*width-3).
+
+    Peeled from both ends: value mod 2^width is c_0 mod 2^width, which the
+    symmetry makes the residue of c_size.  The top digits, value >> width*size,
+    give c_size up to the carry of the lower terms, which is below a quarter
+    of 2^width (plus one for the floor), so c_size is the number of that
+    residue nearest them.  With c_0 = sign*c_size, the value less both ends,
+    shifted down one digit, is the same sum for c_1..c_(size-1); for even
+    size the middle coefficient is what remains.  width must be >= 2.
+    """
+    full = 1 << width
+    half, mask = full >> 1, full - 1
+    low, high = [], []
+    top = size
+    while top > 0:
+        estimate = value >> width * top
+        d = (sign * value - estimate) & mask
+        c = estimate + (d - full if d >= half else d)
+        low.append(sign * c)
+        high.append(c)
+        value = (value - sign * c - (c << width * top)) >> width
+        top -= 2
+    if not top:
+        low.append(value)
+    return low + high[::-1]
+
+
 def pencil_det(pair: SeifertPair) -> LaurentPoly:
     """det(t*S - N) of a square pair, by Kronecker substitution.
 
@@ -345,53 +379,76 @@ def pencil_det(pair: SeifertPair) -> LaurentPoly:
     fixes f: f(2^(2b)) packs every coefficient.  So do two: at X = 2^b,
     (f(X) + f(-X))/2 packs the even coefficients and (f(X) - f(-X))/(2X)
     the odd ones.  Both routes unpack the same digits of width 2b, each
-    part with its step and offset in the exponent.  A zero pencil (h2 = 0:
-    a row of t*S - N is zero) needs no branch of its own: b = 1, the
-    determinants are 0, and the digits unpack to ZERO.  A pair that is
-    not square raises NotSquare from int_det.
+    part with its step and offset in the exponent.  A self-transpose pair,
+    N = sigma*S^t with sigma = +-1 (a knot's (V, V^t), and every middle
+    pair of the twist identity), needs half that width: f(t) is then
+    det(t*S^t - sigma*S) = (-sigma)^m * t^m * f(1/t), so c_k =
+    (-sigma)^m * c_(m-k), and f(2^(b+1)) is peeled from both ends
+    (_mirrored_digits), as |c_k| < 2^(2b-1) = 2^(2(b+1)-3).  The pair is
+    tested entry by entry, after the square check, for sigma = 1 and then
+    -1; any other pair takes one of the first two routes.  A zero pencil
+    (h2 = 0: a row of t*S - N is zero) needs no branch of its own: b = 1,
+    the determinants are 0, and the digits unpack to ZERO.
 
     Cost: about m^3/6 entry updates per two-step elimination, each of
     three products and one exact division, on integers of up to about m*b
-    bits at X = 2^b and about 2*m*b at X = 2^(2b), where b is a quarter of
-    the bits of h2 (so b grows linearly in m).  While m*b <= 512 an update
-    costs mostly interpreter overhead, whatever the length of its
-    integers, so one point is 1.15-2.05x faster than two.  The two cost
-    about the same at m*b = 610-690, so the crossover lies near 650-700;
-    above that the quadratic division of the longer integers makes one
-    point slower (0.9x at m*b = 780, 0.8x at 1,100, 0.6x at 5,300).
-    These are int_det times at each route's points, medians of 15
-    interleaved batches over random +-3, knot-like, +-100 and +-10^6 pairs
-    of size 4 to 22 (Python 3.11.7, 2-vCPU VM).  Below m = 40 either
+    bits at X = 2^b or 2^(b+1) and about 2*m*b at X = 2^(2b), where b is a
+    quarter of the bits of h2 (so b grows linearly in m).  While m*b <=
+    512 an update costs mostly interpreter overhead, whatever the length
+    of its integers, so one point is 1.15-2.05x faster than two.  The two
+    cost about the same at m*b = 610-690, so the crossover lies near
+    650-700; above that the quadratic division of the longer integers
+    makes one point slower (0.9x at m*b = 780, 0.8x at 1,100, 0.6x at
+    5,300).  These are int_det times at each route's points, medians of
+    15 interleaved batches over random +-3, knot-like, +-100 and +-10^6
+    pairs of size 4 to 22 (Python 3.11.7, 2-vCPU VM).  Below m = 40 any
     route beats m + 1 eliminations on small integers; at the 64 x 64 cap
-    the big-integer division dominates and two points take 3.5-3.8 s on
-    +-3 entries.
+    the big-integer division dominates, and two points take 3.5-3.8 s on
+    +-3 entries.  The self-transpose route makes one elimination at the
+    short width, so it takes about half as long: 1.7-2.6 s on knot-type
+    pairs (N = S^t) with entries in [-3, 3] and 4.1-5.7 s with every entry
+    +-15, where two points took 3.6-5.4 s and 8.0-9.5 s (three pairs
+    each, four sittings).
     """
+    _require_square(pair.S)
+    S, N, m = pair.S, pair.N, len(pair.S)
     h2 = 1
-    for srow, nrow in zip(pair.S, pair.N):
+    for srow, nrow in zip(S, N):
         h2 *= sum(map(mul, srow, srow)) + sum(map(mul, nrow, nrow)) + 2 * abs(
             sum(map(mul, srow, nrow))
         )
     b = (h2.bit_length() + 5) // 4
-    if len(pair.S) * b <= 512:
-        parts = ((1, 0, int_det(_pencil(pair, 1 << 2 * b, 1))),)
+    sigma = next(
+        (s for s in (1, -1) if all(N[i][j] == s * S[j][i] for i in range(m) for j in range(m))), 0
+    )
+    if sigma:
+        packed = int_det(_pencil(pair, 1 << b + 1, 1))
+        parts = ((1, 0, _mirrored_digits(packed, b + 1, m, (-sigma) ** m)),)
+    elif m * b <= 512:
+        parts = ((1, 0, _balanced_digits(int_det(_pencil(pair, 1 << 2 * b, 1)), 2 * b)),)
     else:
         at_plus, at_minus = (int_det(_pencil(pair, x, 1)) for x in (1 << b, -(1 << b)))
-        parts = ((2, 0, (at_plus + at_minus) >> 1), (2, 1, (at_plus - at_minus) >> (b + 1)))
-    terms = {}
-    for step, offset, packed in parts:
-        for j, c in enumerate(_balanced_digits(packed, 2 * b)):
-            terms[2 * (step * j + offset)] = c
-    return LaurentPoly(terms)
+        parts = (
+            (2, 0, _balanced_digits((at_plus + at_minus) >> 1, 2 * b)),
+            (2, 1, _balanced_digits((at_plus - at_minus) >> (b + 1), 2 * b)),
+        )
+    return LaurentPoly(
+        {2 * (step * j + offset): c for step, offset, digits in parts for j, c in enumerate(digits)}
+    )
 
 
 # -- matrix moves -------------------------------------------------------------
 
 
 def check_duality(pair_a: SeifertPair, pair_b: SeifertPair) -> bool:
-    """Whether pair_a.N = (-1)^(p*n+1) * transpose(pair_b.S).
+    """Whether pair_a.N = sigma * transpose(pair_b.S) and pair_b.N = sigma *
+    transpose(pair_a.S), with sigma = (-1)^(p*n+1).
 
     pair_a must have degree p and pair_b the complementary degree n+1-p
-    over the same n, with pair_b shaped as the transpose of pair_a.
+    over the same n, with pair_b shaped as the transpose of pair_a.  Both
+    equations are the one symmetry of linking numbers: x linked with y
+    pushed one way is y linked with x pushed the other way, times sigma,
+    which is the same in both degrees as n*(n+1) is even.
     """
     if pair_a.n != pair_b.n or pair_b.p != pair_a.n + 1 - pair_a.p:
         raise ShapeMismatch(
@@ -402,7 +459,10 @@ def check_duality(pair_a: SeifertPair, pair_b: SeifertPair) -> bool:
     if pair_b.shape != (cols, rows):
         raise ShapeMismatch(f"expected {cols}x{rows} partner, got {pair_b.shape}")
     sign = (-1) ** (pair_a.p * pair_a.n + 1)
-    return pair_a.N == tuple(tuple(sign * v for v in row) for row in transpose(pair_b.S))
+    return all(
+        x.N == tuple(tuple(sign * v for v in row) for row in transpose(y.S))
+        for x, y in ((pair_a, pair_b), (pair_b, pair_a))
+    )
 
 
 def basis_change(pair: SeifertPair, u: UnimodularPair) -> SeifertPair:

@@ -221,8 +221,18 @@ class TestCheckDuality:
 
     def test_odd_sign(self):
         a = SeifertPair([[1, 0]], [[0, 1]], 1, 2)
-        b = SeifertPair([[0], [-1]], [[0], [0]], 2, 2)
+        b = SeifertPair([[0], [-1]], [[-1], [0]], 2, 2)
         assert check_duality(a, b)
+        assert check_duality(b, a)
+
+    def test_one_sided_partner_is_refused(self):
+        # b.S is the dual of a.N, but b.N is not -a.S^t = [[-1, 0], [-2, -1]].
+        a = SeifertPair([[1, 2], [0, 1]], [[0, 1], [2, 1]], 1, 2)
+        b = SeifertPair([[0, -2], [-1, -1]], [[7, 7], [7, 7]], 2, 2)
+        assert not check_duality(a, b)
+        assert not check_duality(b, a)
+        dual = SeifertPair(b.S, [[-1, 0], [-2, -1]], 2, 2)
+        assert check_duality(a, dual) and check_duality(dual, a)
 
     def test_degree_mismatch(self):
         a = SeifertPair([[1]], [[1]], 1, 2)
@@ -583,6 +593,49 @@ def test_pencil_det_matches_interpolation_oracle_randomized():
                 assert pencil_det(pair) == pencil_det_interp_oracle(pair)
 
 
+def _mirror(s, sigma: int) -> SeifertPair:
+    """The self-transpose pair (S, sigma*S^t)."""
+    return SeifertPair(s, [[sigma * v for v in row] for row in transpose(s)], 3, 5)
+
+
+def _self_transpose_cases(rng: random.Random):
+    """(kind, pair) with N = +-S^t: dense pairs of size 0..24 and a few of
+    33..48, entries in [-1, 1], in [-3, 3] or all +-15; singular pencils
+    U*A*U^t, A with a zero last row and column, so (t*S - N) has a kernel
+    for every t; the zero pencil and the empty pair."""
+    def entries(bound, size):
+        if bound == 15:
+            return [[rng.choice((-15, 15)) for _ in range(size)] for _ in range(size)]
+        return random_int_matrix(rng, size, size, -bound, bound)
+
+    for size in range(25):
+        for sigma in (1, -1):
+            yield "dense", _mirror(entries(rng.choice((1, 3, 15)), size), sigma)
+    for size, bound, sigma in ((33, 1, 1), (40, 3, -1), (48, 15, 1)):
+        yield "large", _mirror(entries(bound, size), sigma)
+    for size in range(1, 13):
+        a = [list(row) + [0] for row in entries(rng.choice((1, 3)), size - 1)] + [[0] * size]
+        u = random_unimodular(rng, size)
+        yield "singular", _mirror(mat_mul(mat_mul(u, a), transpose(u)), rng.choice((1, -1)))
+    for size in (1, 2, 5, 8):
+        yield "zero", _mirror([[0] * size for _ in range(size)], 1)
+    yield "empty", _mirror([], 1)
+
+
+def test_pencil_det_self_transpose_pairs_match_interpolation_oracle():
+    kinds = collections.Counter()
+    for kind, pair in _self_transpose_cases(random.Random(SEED + 16)):
+        got = pencil_det(pair)
+        assert got == pencil_det_interp_oracle(pair)
+        if kind in ("singular", "zero"):
+            assert got == ZERO
+        kinds[kind, len(pair.S) % 2] += 1
+    assert kinds == {
+        ("dense", 0): 26, ("dense", 1): 24, ("large", 0): 2, ("large", 1): 1,
+        ("singular", 0): 6, ("singular", 1): 6, ("zero", 0): 2, ("zero", 1): 2, ("empty", 0): 1,
+    }
+
+
 def _sylvester(size: int):
     h = ((1,),)
     while len(h) < size:
@@ -630,7 +683,8 @@ def _sparse_pair(rng: random.Random, n: int) -> SeifertPair:
 
 def _routing_cases(rng: random.Random):
     """(pair, evaluation points) on both sides of m*b = 512, m the size and
-    2b the digit width: one point at or below 512, two above."""
+    2b the digit width: one point at or below 512, two above, and one for
+    a pair with N = +-S^t on either side."""
     big = 10**6
     for n in (8, 10, 12):
         yield SeifertPair(
@@ -642,6 +696,12 @@ def _routing_cases(rng: random.Random):
         yield _sparse_pair(rng, n), 1
     yield _diagonal_pair(rng, [15] * 16), 1  # b = 32: m*b = 512
     yield _diagonal_pair(rng, [6] * 2 + [7] * 17), 2  # b = 27: m*b = 513
+    for n in (8, 18, 24):  # [-3, 3] entries, as the (16, 1) and (18, 2) pairs
+        yield _mirror(random_int_matrix(rng, n, n), rng.choice((1, -1))), 1
+    big_diagonal = [[15 * (i == j) for j in range(19)] for i in range(19)]
+    for sigma in (1, -1):
+        yield _mirror(big_diagonal, sigma), 1  # h2 = 900^19, b = 48: m*b = 912
+    yield _mirror([[rng.choice((-15, 15)) for _ in range(32)] for _ in range(32)], -1), 1
 
 
 def test_pencil_det_routes_by_size_times_digit_width(monkeypatch):
