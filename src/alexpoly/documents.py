@@ -44,13 +44,13 @@ MAX_DOCUMENT_BYTES = 64 * 2**20
 # t^50000 - 1 and find-reps on three sparse polynomials spanning
 # t^0..t^50000 take under 0.2 s for the whole process (2-vCPU Xeon VM).
 MAX_HALF_EXPONENT = 100_000
-# pencil_det does two integer Bareiss eliminations of an n x n matrix with
-# entries of O(n) bits: about 3.5-3.8 s at n = 64 with entries in [-3, 3]
-# on a 2-vCPU Xeon VM.  A pair with N = +-S^t takes one, of the same
-# width: 1.7-2.6 s for knot-type pairs (N = S^t) on the same VM.
+# At n = 64 pencil_det takes two integer Bareiss eliminations, of x*S - N
+# and its mirror S - x*N, with entries of O(n) bits: about 3.4-3.8 s with
+# entries in [-3, 3] on a 2-vCPU Xeon VM.  A pair with N = +-S^t is its own
+# mirror and takes one: 1.7-2.6 s for knot-type pairs (N = S^t).
 MAX_MATRIX_DIM = 64
 # The bits grow with the entries: with every entry +-15, n = 64 takes
-# 7.8-8.6 s on the same VM, about 2.3 times the [-3, 3] case, and
+# 7.8-10 s on the same VM, about 2.3 times the [-3, 3] case, and
 # 4.1-5.7 s for a knot-type pair.
 MAX_MATRIX_ENTRY = 15
 

@@ -19,16 +19,13 @@ the second row of the two at the first column's step.
 - ``int_det`` runs it on an integer matrix, ``det`` on a matrix of
   Laurent polynomials, both through one body (``_det``);
 - ``pencil_det`` takes det(t*S - N) of size m from integer determinants
-  of x*S - N, with b from a Hadamard bound on the coefficients: from one
-  at x = 2^(2b) while m*b <= 512, where interpreter overhead outweighs
-  the big-integer work, else from two at x = 2^b and x = -2^b, whose
-  entries are half as long; it unpacks the coefficients from the values'
-  binary digits (the normalized determinant is that polynomial shifted).
-  A pair with N = sigma*S^t, sigma = +-1, has mirrored coefficients,
-  c_k = (-sigma)^m * c_(m-k), and takes one determinant at x = 2^(b+1):
-  each |c_k| is below x^2/8, so the lower terms move the top digits by
-  less than x/4, and the top digits with the low digit's residue fix
-  each mirrored pair exactly;
+  of its pencils (Kronecker substitution), b from a Hadamard bound on
+  the coefficients, on one of two routes: one wide determinant at
+  x = 2^(2b) while m*b <= 512, where interpreter overhead outweighs the
+  big-integer work, else the narrow f(2^(b+1)) and its mirror
+  det(S - 2^(b+1)*N), read from both ends, of which a pair with
+  N = +-S^t, its own mirror, needs only the first.  The normalized
+  determinant is that polynomial shifted;
 - ``_corank_one_kernel`` reads the kernel of an integer matrix such as
   S - N off it by back substitution, solving each two-column block of
   the elimination as one 2x2 system.
@@ -338,29 +335,33 @@ def _balanced_digits(value: int, width: int) -> list[int]:
     return digits
 
 
-def _mirrored_digits(value: int, width: int, size: int, sign: int) -> list[int]:
+def _two_ended_digits(value: int, mirror: int, width: int, size: int) -> list[int]:
     """The coefficients c_0..c_size of the integer polynomial f with
-    value = f(2^width), given c_k = sign*c_(size-k) and |c_k| < 2^(2*width-3).
+    value = f(2^width) and mirror = 2^(width*size) * f(2^-width) (the same
+    coefficients reversed), given |c_k| < 2^(2*width-3).
 
-    Peeled from both ends: value mod 2^width is c_0 mod 2^width, which the
-    symmetry makes the residue of c_size.  The top digits, value >> width*size,
-    give c_size up to the carry of the lower terms, which is below a quarter
-    of 2^width (plus one for the floor), so c_size is the number of that
-    residue nearest them.  With c_0 = sign*c_size, the value less both ends,
-    shifted down one digit, is the same sum for c_1..c_(size-1); for even
-    size the middle coefficient is what remains.  width must be >= 2.
+    Read from both ends: value mod 2^width is c_0's residue, and mirror's
+    top digits, mirror >> width*size, give c_0 but for the carry of the
+    lower terms, below a quarter of 2^width (plus one for the floor), so
+    c_0 is the number of that residue nearest them; c_size likewise from
+    mirror's low digit and value's top digits.  Both values less both
+    ends, shifted down one digit, hold c_1..c_(size-1) the same way; for
+    even size the middle coefficient is what remains.  width must be >= 2.
     """
     full = 1 << width
     half, mask = full >> 1, full - 1
     low, high = [], []
     top = size
     while top > 0:
-        estimate = value >> width * top
-        d = (sign * value - estimate) & mask
-        c = estimate + (d - full if d >= half else d)
-        low.append(sign * c)
-        high.append(c)
-        value = (value - sign * c - (c << width * top)) >> width
+        shift = width * top
+        first, last = (
+            estimate + ((residue - estimate + half) & mask) - half
+            for residue, estimate in ((value, mirror >> shift), (mirror, value >> shift))
+        )
+        low.append(first)
+        high.append(last)
+        value = (value - first - (last << shift)) >> width
+        mirror = (mirror - last - (first << shift)) >> width
         top -= 2
     if not top:
         low.append(value)
@@ -375,40 +376,39 @@ def pencil_det(pair: SeifertPair) -> LaurentPoly:
     bounds |f(t)|^2 by h2, the product over the rows of |S_i|^2 + |N_i|^2
     + 2*|<S_i, N_i>|, so by Parseval every coefficient has |c_k| <=
     sqrt(h2).  Take b with 2^(4b-2) > h2: every coefficient is then a
-    balanced digit in base 2^(2b).  So one integer Bareiss determinant
-    fixes f: f(2^(2b)) packs every coefficient.  So do two: at X = 2^b,
-    (f(X) + f(-X))/2 packs the even coefficients and (f(X) - f(-X))/(2X)
-    the odd ones.  Both routes unpack the same digits of width 2b, each
-    part with its step and offset in the exponent.  A self-transpose pair,
-    N = sigma*S^t with sigma = +-1 (a knot's (V, V^t), and every middle
-    pair of the twist identity), needs half that width: f(t) is then
-    det(t*S^t - sigma*S) = (-sigma)^m * t^m * f(1/t), so c_k =
-    (-sigma)^m * c_(m-k), and f(2^(b+1)) is peeled from both ends
-    (_mirrored_digits), as |c_k| < 2^(2b-1) = 2^(2(b+1)-3).  The pair is
-    tested entry by entry, after the square check, for sigma = 1 and then
-    -1; any other pair takes one of the first two routes.  A zero pencil
-    (h2 = 0: a row of t*S - N is zero) needs no branch of its own: b = 1,
-    the determinants are 0, and the digits unpack to ZERO.
+    balanced digit in base 2^(2b), so one integer Bareiss determinant,
+    f(2^(2b)), packs them all (the wide route).  The narrow route needs
+    half that width: at X = 2^(b+1), f(X) and its mirror X^m * f(1/X) =
+    det(S - X*N) are read from both ends (_two_ended_digits), as |c_k| <
+    2^(2b-1) = 2^(2(b+1)-3).  A pair with N = sigma*S^t, sigma = +-1 (a
+    knot's (V, V^t), and every middle pair of the twist identity), is its
+    own mirror up to sign: f(t) = det(t*S^t - sigma*S) = (-sigma)^m * t^m
+    * f(1/t), so its mirror costs no second determinant, and it takes the
+    narrow route at every size.  The pair is tested entry by entry, after
+    the square check, for sigma = 1 and then -1.  A zero pencil (h2 = 0: a
+    row of t*S - N is zero) needs no branch of its own: b = 1, the
+    determinants are 0, and the digits unpack to ZERO.
 
     Cost: about m^3/6 entry updates per two-step elimination, each of
     three products and one exact division, on integers of up to about m*b
-    bits at X = 2^b or 2^(b+1) and about 2*m*b at X = 2^(2b), where b is a
+    bits on the narrow route and 2*m*b on the wide one, where b is a
     quarter of the bits of h2 (so b grows linearly in m).  While m*b <=
     512 an update costs mostly interpreter overhead, whatever the length
-    of its integers, so one point is 1.15-2.05x faster than two.  The two
-    cost about the same at m*b = 610-690, so the crossover lies near
-    650-700; above that the quadratic division of the longer integers
-    makes one point slower (0.9x at m*b = 780, 0.8x at 1,100, 0.6x at
-    5,300).  These are int_det times at each route's points, medians of
-    15 interleaved batches over random +-3, knot-like, +-100 and +-10^6
-    pairs of size 4 to 22 (Python 3.11.7, 2-vCPU VM).  Below m = 40 any
-    route beats m + 1 eliminations on small integers; at the 64 x 64 cap
-    the big-integer division dominates, and two points take 3.5-3.8 s on
-    +-3 entries.  The self-transpose route makes one elimination at the
-    short width, so it takes about half as long: 1.7-2.6 s on knot-type
+    of its integers, so one wide point is 1.15-2.05x faster than two
+    narrow ones.  The two cost about the same at m*b = 610-690; above
+    that the quadratic division of the longer integers makes the wide
+    point slower (0.9x at m*b = 780, 0.8x at 1,100, 0.6x at 5,300).  These
+    are int_det times at each route's points, medians of 15 interleaved
+    batches over random +-3, knot-like, +-100 and +-10^6 pairs of size 4
+    to 22 (Python 3.11.7, 2-vCPU VM), with the narrow points then at
+    x = +-2^b; at 2^(b+1), one bit longer, a narrow int_det takes 2-4%
+    more.  Below m = 40 either route beats m + 1 eliminations on small
+    integers; at the 64 x 64 cap the big-integer division dominates, and
+    two narrow determinants take 3.4-3.8 s on +-3 entries.  A pair with
+    N = +-S^t takes one, so about half as long: 1.7-2.6 s on knot-type
     pairs (N = S^t) with entries in [-3, 3] and 4.1-5.7 s with every entry
-    +-15, where two points took 3.6-5.4 s and 8.0-9.5 s (three pairs
-    each, four sittings).
+    +-15, where two took 3.6-5.4 s and 8.0-9.5 s (three pairs each, four
+    sittings).
     """
     _require_square(pair.S)
     S, N, m = pair.S, pair.N, len(pair.S)
@@ -421,20 +421,14 @@ def pencil_det(pair: SeifertPair) -> LaurentPoly:
     sigma = next(
         (s for s in (1, -1) if all(N[i][j] == s * S[j][i] for i in range(m) for j in range(m))), 0
     )
-    if sigma:
-        packed = int_det(_pencil(pair, 1 << b + 1, 1))
-        parts = ((1, 0, _mirrored_digits(packed, b + 1, m, (-sigma) ** m)),)
-    elif m * b <= 512:
-        parts = ((1, 0, _balanced_digits(int_det(_pencil(pair, 1 << 2 * b, 1)), 2 * b)),)
+    if sigma or m * b > 512:
+        x = 1 << b + 1
+        value = int_det(_pencil(pair, x, 1))
+        mirror = (-sigma) ** m * value if sigma else int_det(_pencil(pair, 1, x))
+        digits = _two_ended_digits(value, mirror, b + 1, m)
     else:
-        at_plus, at_minus = (int_det(_pencil(pair, x, 1)) for x in (1 << b, -(1 << b)))
-        parts = (
-            (2, 0, _balanced_digits((at_plus + at_minus) >> 1, 2 * b)),
-            (2, 1, _balanced_digits((at_plus - at_minus) >> (b + 1), 2 * b)),
-        )
-    return LaurentPoly(
-        {2 * (step * j + offset): c for step, offset, digits in parts for j, c in enumerate(digits)}
-    )
+        digits = _balanced_digits(int_det(_pencil(pair, 1 << 2 * b, 1)), 2 * b)
+    return LaurentPoly({2 * k: c for k, c in enumerate(digits)})
 
 
 # -- matrix moves -------------------------------------------------------------

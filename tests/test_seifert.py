@@ -1,4 +1,6 @@
 import collections
+import itertools
+import operator
 import random
 
 import pytest
@@ -30,12 +32,14 @@ from alexpoly import (
     stabilize,
     z_balanced_eq,
 )
+from alexpoly import seifert
 from alexpoly.seifert import (
     IntMatrix,
     _balanced_digits,
     _bareiss,
     _corank_one_kernel,
     _pencil,
+    _two_ended_digits,
     as_int_matrix,
     int_det,
     mat_mul,
@@ -591,6 +595,27 @@ def test_pencil_det_matches_interpolation_oracle_randomized():
         for _ in range(2):
             for pair in _pencil_kinds(rng, n):
                 assert pencil_det(pair) == pencil_det_interp_oracle(pair)
+    # Dense pairs past the sizes above, all on the narrow route (m*b > 512).
+    for n, bound in ((33, 1), (40, 3)):
+        s, nm = (random_int_matrix(rng, n, n, -bound, bound) for _ in range(2))
+        pair = SeifertPair(s, nm, 1, 2)
+        assert pencil_det(pair) == pencil_det_interp_oracle(pair)
+    s, nm = ([[rng.choice((-15, 15)) for _ in range(48)] for _ in range(48)] for _ in range(2))
+    pair = SeifertPair(s, nm, 1, 2)
+    assert pencil_det(pair) == pencil_det_interp_oracle(pair)
+
+
+def test_pencil_det_of_the_reversed_pair_is_the_reversed_polynomial():
+    """(N^t, S^t) has det(t*N - S) = (-t)^m * f(1/t): a reader that swapped
+    the two ends of its values would give f itself."""
+    rng = random.Random(SEED + 20)
+    for n, bound in ((2, 3), (5, 3), (12, 15), (20, 3), (24, 15), (40, 1)):
+        s, nm = (random_int_matrix(rng, n, n, -bound, bound) for _ in range(2))
+        f = pencil_det(SeifertPair(s, nm, 1, 2))
+        assert f != f.invert_variable() * (-T) ** n
+        assert pencil_det(SeifertPair(transpose(nm), transpose(s), 1, 2)) == (
+            f.invert_variable() * (-T) ** n
+        )
 
 
 def _mirror(s, sigma: int) -> SeifertPair:
@@ -714,11 +739,75 @@ def test_pencil_det_routes_by_size_times_digit_width(monkeypatch):
         assert got == pencil_det_interp_oracle(pair)
 
 
+def _packed(coefficients, width: int) -> int:
+    return sum(c << width * k for k, c in enumerate(coefficients))
+
+
+def test_pencil_det_gives_each_reader_values_within_its_bound(monkeypatch):
+    """Each reader gets f at x = 2^width (and the narrow one the mirror,
+    f's coefficients reversed, there too), with the Hadamard bound
+    sqrt(h2) inside what its width reads: a balanced digit,
+    |c_k| < 2^(width-1), or |c_k| < 2^(2*width-3) read from both ends."""
+    calls = []
+    for name in ("_balanced_digits", "_two_ended_digits"):
+        reader = getattr(seifert, name)
+        spy = lambda *args, name=name, reader=reader: calls.append((name, args)) or reader(*args)
+        monkeypatch.setattr(seifert, name, spy)
+    seen = collections.Counter()
+    for pair, _ in _routing_cases(random.Random(SEED + 22)):
+        calls.clear()
+        f = pencil_det(pair)
+        m = len(pair.S)
+        h2 = 1
+        for srow, nrow in zip(pair.S, pair.N):
+            h2 *= sum(v * v for v in srow + nrow) + 2 * abs(sum(map(operator.mul, srow, nrow)))
+        coefficients = [f.terms.get(2 * k, 0) for k in range(m + 1)]
+        ((name, args),) = calls
+        if name == "_two_ended_digits":
+            value, mirror, width, size = args
+            assert (mirror, size) == (_packed(coefficients[::-1], width), m)
+            assert h2 < 1 << 2 * (2 * width - 3)
+        else:
+            value, width = args
+            assert h2 < 1 << 2 * (width - 1)
+        assert value == _packed(coefficients, width)
+        seen[name] += 1
+    assert seen == {"_balanced_digits": 5, "_two_ended_digits": 11}
+
+
 @pytest.mark.parametrize("width", [1, 0])
 def test_balanced_digits_refuse_a_width_below_two(width):
     # At width 1 the digits are -1 and 0, so a positive value never shrinks.
     with pytest.raises(ValueError, match=f"^balanced digits need width >= 2, got {width}$"):
         _balanced_digits(1, width)
+
+
+def test_two_ended_digits_read_coefficients_at_their_bound():
+    """Every list of size + 1 coefficients with |c_k| < 2^(2*width-3) comes
+    back exactly: general lists with the reversed list's value as mirror,
+    and lists with c_k = sign*c_(size-k) with mirror = sign*value.  The
+    lists take the extremes +-(2^(2*width-3) - 1) often, and at sizes 0..3
+    every list of extremes and zeros."""
+    rng = random.Random(SEED + 21)
+    for width in range(2, 10):
+        bound = (1 << 2 * width - 3) - 1
+        for size in range(10):
+            lists = [
+                [rng.choice((-bound, bound, rng.randint(-bound, bound))) for _ in range(size + 1)]
+                for _ in range(30)
+            ]
+            if size <= 3:
+                lists += map(list, itertools.product((-bound, 0, bound), repeat=size + 1))
+            for cs in lists:
+                value, mirror = _packed(cs, width), _packed(cs[::-1], width)
+                assert _two_ended_digits(value, mirror, width, size) == cs
+                lower = cs[: (size + 1) // 2]
+                for sign in (1, -1):
+                    # An even size's middle coefficient is its own sign times.
+                    middle = [cs[size // 2] * (sign == 1)] if size % 2 == 0 else []
+                    mirrored = lower + middle + [sign * c for c in reversed(lower)]
+                    value = _packed(mirrored, width)
+                    assert _two_ended_digits(value, sign * value, width, size) == mirrored
 
 
 def _elimination_cases(rng: random.Random, n: int):

@@ -1,5 +1,6 @@
 """The CI workflow smoke-runs every benchmark workload in both trace modes,
-and its Python matrix starts at the floor that pyproject.toml declares.
+checks the answers of its two 64 x 64 cap steps modulo a prime, and its
+Python matrix starts at the floor that pyproject.toml declares.
 
 The workflow and pyproject.toml are read as text (Python 3.10 has no
 tomllib) and BENCHMARK.json as JSON, so a workload added to the benchmark
@@ -40,3 +41,14 @@ def test_python_matrix_starts_at_the_required_floor():
     versions = re.findall(r'"(\d+\.\d+)"', matrix)
     assert versions[0] == floor
     assert versions == sorted(versions, key=lambda v: tuple(map(int, v.split("."))))
+
+
+def test_both_cap_steps_check_the_answer_modulo_a_prime():
+    """Each 64 x 64 step reads the --json output and compares its values
+    with det(x*S - N) modulo p = 2^61 - 1, so a wrong answer fails it."""
+    steps = re.split(r"^      - name: ", WORKFLOW, flags=re.MULTILINE)[1:]
+    caps = [step for step in steps if "64 x 64" in step.splitlines()[0]]
+    assert len(caps) == 2
+    for step in caps:
+        assert "--json" in step
+        assert "p = (1 << 61) - 1" in step
