@@ -12,9 +12,11 @@ elimination (``_bareiss``) serves every determinant and kernel, and none
 of them uses rationals: its entries are ints or Laurent polynomials, and
 each of its divisions is exact in either ring.  It is Bareiss's two-step
 elimination (Math. Comp. 22, 1968): each sweep over the rows below takes
-two pivot columns, with one exact division per entry, so it makes half
-the sweeps and half the divisions of one column per sweep, and it leaves
-the second row of the two at the first column's step.
+two pivot columns where their 2x2 minor is nonzero, with one exact
+division per entry, so it makes about half the sweeps and half the
+divisions of one column per sweep.  It has one swap rule, for the first
+pivot of a sweep, and it returns a record of its sweeps, from which the
+determinant and the kernel read their pivots.
 
 - ``int_det`` runs it on an integer matrix, ``det`` on a matrix of
   Laurent polynomials, both through one body (``_det``);
@@ -27,8 +29,8 @@ the second row of the two at the first column's step.
   N = +-S^t, its own mirror, needs only the first.  The normalized
   determinant is that polynomial shifted;
 - ``_corank_one_kernel`` reads the kernel of an integer matrix such as
-  S - N off it by back substitution, solving each two-column block of
-  the elimination as one 2x2 system.
+  S - N off it by back substitution, solving each two-step sweep as one
+  2x2 system.
 """
 from __future__ import annotations
 
@@ -87,7 +89,7 @@ def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     )
 
 
-def _bareiss(rows: Sequence[Sequence]) -> tuple[list[list], list[int], list[int], int]:
+def _bareiss(rows: Sequence[Sequence]) -> tuple[list[list], list[tuple], list[int], int]:
     """Fraction-free two-step Bareiss elimination of a list copy of square rows.
 
     The entries are ints or LaurentPolys.  At step k (k pivots so far)
@@ -95,34 +97,34 @@ def _bareiss(rows: Sequence[Sequence]) -> tuple[list[list], list[int], list[int]
     and j, so by Sylvester's identity every division by the last pivot,
     prev, is exact (``//``) in either ring (Bareiss, "Sylvester's identity
     and multistep integer-preserving Gaussian elimination", Math. Comp. 22,
-    1968).  The entry in row k of the next column becomes the pivot, after
-    a swap with the first row below holding a nonzero entry there if it is
-    zero; a column with no such entry is passed over.  A sweep then takes
-    the column after it too: c0, the 2x2 minor of rows k and k+1 over prev,
-    is the next pivot, after a swap of row k+1 with the first row below
-    whose minor with row k is nonzero if it is zero.  Each row below is
-    updated right of the two columns from its own minors c1 and c2 with
-    rows k+1 and k, one pass and one division per entry for two pivots.
-    Row k+1 stays at step k but for its pivot entry, which becomes c0.  In
-    the last column, or when no row gives a nonzero c0, the sweep
-    eliminates one column, and the next passes over the column without a
-    pivot.  So the swaps, the sign, the pivots and the pivot entries are
-    those of one column per sweep, and so is each row from its pivot column
-    on, except the second row of a two-step block: right of its pivot it
-    holds step-k entries, which _corank_one_kernel reads as such.  Left of
-    the pivot column, and in pivot columns below their pivot, a row holds
-    stale entries, and no caller reads them.
+    1968).  Each sweep starts at the next column: the entry in row k
+    becomes the pivot p0, after a swap with the first row below holding a
+    nonzero entry there if it is zero; a column with no such entry is
+    passed over.  That is the one swap rule.  When c0, the 2x2 minor of
+    rows k and k+1 over prev, is nonzero, it is the next pivot and the
+    sweep takes the column after too: each row below is updated right of
+    the two columns from its own minors c1 and c2 with rows k+1 and k, one
+    pass and one division per entry for two pivots, and row k+1 stays at
+    step k.  Otherwise, and in the last column, the sweep takes one column.
+    Each entry in column col+1 at step k+1 is its row's minor with row k
+    over prev, so after a one-step sweep the next swap picks the row whose
+    minor is the first nonzero one, and the swaps, the sign and the pivots
+    are those of one column per sweep.  So is each row from its pivot
+    column on, except the second row of a two-step sweep, which holds
+    step-k entries.  Left of the pivot column, and in pivot columns below
+    their pivot, a row holds stale entries, and no caller reads them.
 
-    Returns the eliminated rows, the pivot columns, the original index of
-    each row and the sign of that row permutation.  With n pivots the
-    determinant is the sign times a[n-1][n-1]; with fewer it is zero.
+    Returns the eliminated rows, the sweeps, the original index of each
+    row and the sign of that row permutation.  Each sweep is (col, width,
+    pivot): its first column, its number of columns (1 or 2) and the last
+    pivot it made (p0 or c0).  When the widths add up to the size, the
+    determinant is the sign times the last pivot; otherwise it is zero.
     """
     a = [list(row) for row in rows]
     n = len(a)
-    pivots, order, sign, prev = [], list(range(n)), 1, 1
-    col = 0
+    sweeps, order, sign, prev = [], list(range(n)), 1, 1
+    k = col = 0
     while col < n:
-        k = len(pivots)
         if not a[k][col]:
             p = next((i for i in range(k + 1, n) if a[i][col]), None)
             if p is None:
@@ -133,21 +135,11 @@ def _bareiss(rows: Sequence[Sequence]) -> tuple[list[list], list[int], list[int]
         r0 = a[k]
         p0 = r0[col]
         if col + 1 < n:
-            q0 = r0[col + 1]
-            c0 = p0 * a[k + 1][col + 1] - q0 * a[k + 1][col]
-            if not c0:
-                p = next(
-                    (i for i in range(k + 2, n) if p0 * a[i][col + 1] - q0 * a[i][col]), None
-                )
-                if p is not None:
-                    a[k + 1], a[p] = a[p], a[k + 1]
-                    order[k + 1], order[p] = order[p], order[k + 1]
-                    sign = -sign
-                    c0 = p0 * a[k + 1][col + 1] - q0 * a[k + 1][col]
+            r1 = a[k + 1]
+            q0, u, v = r0[col + 1], r1[col], r1[col + 1]
+            c0 = p0 * v - q0 * u
             if c0:
                 c0 //= prev
-                r1 = a[k + 1]
-                u, v = r1[col], r1[col + 1]
                 t0, t1 = r0[col + 2 :], r1[col + 2 :]
                 for row in a[k + 2 :]:
                     x, y = row[col], row[col + 1]
@@ -156,19 +148,18 @@ def _bareiss(rows: Sequence[Sequence]) -> tuple[list[list], list[int], list[int]
                         (c0 * z + c1 * s - c2 * w) // prev
                         for z, s, w in zip(row[col + 2 :], t0, t1)
                     ]
-                r1[col + 1] = c0
-                pivots += col, col + 1
+                sweeps.append((col, 2, c0))
                 prev = c0
-                col += 2
+                k, col = k + 2, col + 2
                 continue
         tail = r0[col + 1 :]
         for row in a[k + 1 :]:
             aic = row[col]
             row[col + 1 :] = [(p0 * x - aic * y) // prev for x, y in zip(row[col + 1 :], tail)]
-        pivots.append(col)
+        sweeps.append((col, 1, p0))
         prev = p0
-        col += 1
-    return a, pivots, order, sign
+        k, col = k + 1, col + 1
+    return a, sweeps, order, sign
 
 
 def _det(rows: Sequence[Sequence], one, zero):
@@ -176,8 +167,10 @@ def _det(rows: Sequence[Sequence], one, zero):
     _require_square(rows)
     if not rows:
         return one
-    a, pivots, _, sign = _bareiss(rows)
-    return sign * a[-1][-1] if len(pivots) == len(a) else zero
+    _, sweeps, _, sign = _bareiss(rows)
+    if sum(width for _, width, _ in sweeps) < len(rows):
+        return zero
+    return sign * sweeps[-1][2]
 
 
 def _corank_one_kernel(m: IntMatrix) -> tuple[list[int], int, int] | None:
@@ -190,37 +183,33 @@ def _corank_one_kernel(m: IntMatrix) -> tuple[list[int], int, int] | None:
     to sign: g*y with y primitive.  As adj(m) = c*y*x^t, x the primitive
     left kernel vector, m has Smith form diag(1, ..., 1, 0) iff g == |x[row]|.
 
-    The pivots are read in blocks from the left: a pivot c followed by
-    c + 1 is a two-step block, whose rows k and k+1 are both at step k,
-    and any other pivot is a one-step row.  No flag is needed, as a
-    one-step sweep at c leaves column c + 1 without a pivot: its swap
-    search found every 2x2 minor below to be zero.  A block has pivot
-    row entries p0, q0 and second row entries u (and c0 for its pivot);
-    with s0 and s1 the sums of its two rows against y right of the block
-    and prev the pivot before it (1 for the first), its two equations give
-    prev*c0*y[c+1] = -(p0*s1 - u*s0) and p0*y[c] = -(q0*y[c+1] + s0).
-    Both divisions are exact, as the integer vector y solves them.
+    The sweeps are solved from the last.  A two-step sweep at column c
+    has rows k and k+1 at step k, with entries p0, q0 and u, v in columns
+    c and c+1, pivot c0 = (p0*v - q0*u)/prev and prev the pivot of the
+    sweep before (1 for the first); with s0 and s1 the sums of its two rows
+    against y right of the sweep, its two equations give prev*c0*y[c+1] =
+    -(p0*s1 - u*s0) and p0*y[c] = -(q0*y[c+1] + s0).  Both divisions are
+    exact, as the integer vector y solves them.
     """
     n = len(m)
     if any(len(r) != n for r in m):
         return None
-    a, pivots, order, _ = _bareiss(m)
-    if len(pivots) != n - 1:
+    a, sweeps, order, _ = _bareiss(m)
+    if sum(width for _, width, _ in sweeps) != n - 1:
         return None
-    last = a[n - 2][pivots[-1]] if pivots else 1
-    y = [0 if j in pivots else last for j in range(n)]
-    blocks, k = [], 0
-    while k < n - 1:
-        width = 2 if pivots[k + 1 : k + 2] == [pivots[k] + 1] else 1
-        blocks.append((k, width))
-        k += width
-    for k, width in reversed(blocks):
-        c, r0 = pivots[k], a[k]
+    prevs = [1] + [pivot for _, _, pivot in sweeps]
+    y = [prevs[-1]] * n
+    for c, width, _ in sweeps:
+        y[c : c + width] = [0] * width
+    k = n - 1
+    for (c, width, pivot), prev in zip(reversed(sweeps), reversed(prevs[:-1])):
+        k -= width
+        r0 = a[k]
         s0 = sum(map(mul, r0[c + 1 :], y[c + 1 :]))
         if width == 2:
-            r1, prev = a[k + 1], a[k - 1][pivots[k - 1]] if k else 1
+            r1 = a[k + 1]
             s1 = sum(map(mul, r1[c + 2 :], y[c + 2 :]))
-            y[c + 1] = -(r0[c] * s1 - r1[c] * s0) // (prev * r1[c + 1])
+            y[c + 1] = -(r0[c] * s1 - r1[c] * s0) // (prev * pivot)
             s0 += r0[c + 1] * y[c + 1]
         y[c] = -s0 // r0[c]
     g = math.gcd(*y)
@@ -394,11 +383,10 @@ def pencil_det(pair: SeifertPair) -> LaurentPoly:
     bits on the narrow route and 2*m*b on the wide one, where b is a
     quarter of the bits of h2 (so b grows linearly in m).  While m*b <=
     512 an update costs mostly interpreter overhead, whatever the length
-    of its integers, so one wide point is 1.15-2.05x faster than two
-    narrow ones.  The two cost about the same at m*b = 610-690; above
-    that the quadratic division of the longer integers makes the wide
-    point slower (0.9x at m*b = 780, 0.8x at 1,100, 0.6x at 5,300).  These
-    are int_det times at each route's points, medians of 15 interleaved
+    of its integers, so one wide point beats two narrow ones.  The two
+    cost about the same at m*b = 610-690; above that the quadratic
+    division of the longer integers makes the wide point slower (0.9x at
+    m*b = 780, 0.8x at 1,100, 0.6x at 5,300).  These are int_det times at each route's points, medians of 15 interleaved
     batches over random +-3, knot-like, +-100 and +-10^6 pairs of size 4
     to 22 (Python 3.11.7, 2-vCPU VM), with the narrow points then at
     x = +-2^b; at 2^(b+1), one bit longer, a narrow int_det takes 2-4%

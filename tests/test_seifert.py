@@ -320,8 +320,9 @@ def _with_elimination_edits(rng, m, zero):
     before the last, which has no pivot; one column repeated in another,
     which leaves a later column without a pivot; row r, r odd and below
     n - 1 where n allows, made a combination of the rows above in its
-    first r + 1 entries, so that the leading minor of size r + 1 is zero
-    and the second pivot of a two-step sweep needs a swap; and column
+    first r + 1 entries, so that the leading minor of size r + 1 is zero,
+    the sweep at column r - 1 takes one step and the next one swaps a
+    lower row into row r; and column
     c + 1, c even, a multiple of column c, so that no row gives a sweep
     at column c its second pivot."""
     yield m
@@ -822,57 +823,56 @@ def _elimination_cases(rng: random.Random, n: int):
     return ints, [alexander_matrix(pair).entries for pair in pairs]
 
 
-def _blocks(pivots):
-    """(k, width) for each block of a pivot list read greedily from the
-    left: pivot k and pivot k + 1 form a two-step block (width 2) when
-    their columns are adjacent, and any other pivot is a one-step row."""
-    blocks, k = [], 0
-    while k < len(pivots):
-        width = 2 if pivots[k + 1 : k + 2] == [pivots[k] + 1] else 1
-        blocks.append((k, width))
+def _sweeps_matching_one_step_oracle(m):
+    """_bareiss(m)'s sweeps, after asserting that they agree with the
+    one-step elimination: the same swaps and sign, and the same pivot
+    columns as the columns of the sweeps; each sweep's pivot the one-step
+    pivot entry; the first row of each sweep the same from its pivot
+    column on; and the second row of a two-step sweep at the step before,
+    so that advanced one step it is the same from its pivot column on."""
+    a, sweeps, order, sign = _bareiss(m)
+    want, pivots, *rest = one_step_bareiss_oracle(m)
+    columns = [c + i for c, width, _ in sweeps for i in range(width)]
+    assert (columns, order, sign) == (pivots, *rest), m
+    k = 0
+    for c, width, pivot in sweeps:
+        assert a[k][c:] == want[k][c:], m
+        assert pivot == want[k + width - 1][c + width - 1], m
+        if width == 2:
+            r0, r1 = a[k], a[k + 1]
+            prev = want[k - 1][pivots[k - 1]] if k else 1
+            advanced = [
+                (r0[c] * y - r1[c] * x) // prev for x, y in zip(r0[c + 1 :], r1[c + 1 :])
+            ]
+            assert advanced == want[k + 1][c + 1 :], m
         k += width
-    return blocks
+    return sweeps
 
 
 def test_elimination_matches_one_step_oracle_randomized():
     """The two-step elimination against the one-step one on sizes 0..12,
-    with every elimination edit: the same swaps, sign and pivot columns;
-    every one-step row and first row of a block the same from its pivot
-    column on; the second row of each block at the step before, so that
-    it has the same pivot entry and, advanced one step, the same entries
-    right of it; and so the same int_det, det and kernel."""
+    with every elimination edit: the same sweeps as one column per sweep
+    (_sweeps_matching_one_step_oracle), and so the same int_det, det and
+    kernel."""
     rng, edits = random.Random(SEED + 16), random.Random(SEED + 17)
     seen = collections.Counter()
     for n in range(13):
         for rep in range(4):
             ints, laurents = _elimination_cases(rng, n)
             for m in (m for base in ints for m in _with_elimination_edits(edits, base, 0)):
-                a, pivots, order, sign = _bareiss(m)
-                want = one_step_bareiss_oracle(m)
-                assert (pivots, order, sign) == want[1:], m
-                for k, width in _blocks(pivots):
-                    c = pivots[k]
-                    assert a[k][c:] == want[0][k][c:], m
-                    if width == 2:
-                        r0, r1 = a[k], a[k + 1]
-                        prev = want[0][k - 1][pivots[k - 1]] if k else 1
-                        assert r1[c + 1] == want[0][k + 1][c + 1], m
-                        advanced = [
-                            (r0[c] * y - r1[c] * x) // prev
-                            for x, y in zip(r0[c + 2 :], r1[c + 2 :])
-                        ]
-                        assert advanced == want[0][k + 1][c + 2 :], m
-                    seen["block" if width == 2 else "one-step"] += 1
+                sweeps = _sweeps_matching_one_step_oracle(m)
+                seen.update("block" if width == 2 else "one-step" for _, width, _ in sweeps)
                 assert int_det(m) == one_step_det_oracle(m, 1, 0), m
                 kernel = _corank_one_kernel(m)
                 assert kernel == corank_one_kernel_oracle(m), m
-                seen[n % 2, len(pivots) == n, kernel is not None] += 1
+                rank = sum(width for _, width, _ in sweeps)
+                seen[n % 2, rank == n, kernel is not None] += 1
             if rep:
                 continue  # the Laurent eliminations cost ten times the integer ones
             for m in (m for base in laurents for m in _with_elimination_edits(edits, base, ZERO)):
                 assert det(AlexanderMatrix(m)) == one_step_det_oracle(m, ONE, ZERO), m
     # Odd and even sizes each give full-rank matrices, corank-one ones and
-    # lower ranks; both kinds of pivot row occur.
+    # lower ranks; both kinds of sweep occur.
     for parity in (0, 1):
         assert seen[parity, True, False] > 400
         assert seen[parity, False, True] > 600
@@ -880,12 +880,34 @@ def test_elimination_matches_one_step_oracle_randomized():
     assert seen["block"] > 1000 and seen["one-step"] > 1000
 
 
+def test_census_of_small_matrices_and_pencils():
+    """Every 3 x 3 matrix with entries in {-1, 0, 1} (19,683) through the
+    sweeps, int_det and the kernel, and every 2 x 2 pair with such entries
+    (6,561) through pencil_det, each against its oracle, so that every
+    pattern of vanishing minors at size 3 is listed, not drawn."""
+    shapes = set()
+    for e in itertools.product((-1, 0, 1), repeat=9):
+        m = (e[0:3], e[3:6], e[6:9])
+        sweeps = _sweeps_matching_one_step_oracle(m)
+        shapes.add(tuple(sweep[:2] for sweep in sweeps))
+        assert int_det(m) == perm_det_int_oracle(m), m
+        assert _corank_one_kernel(m) == corank_one_kernel_oracle(m), m
+    # Every sweep shape of size 3: one for each of the 8 sets of pivot
+    # columns, and a second for {0, 1, 2}, {0, 1} and {1, 2}, whose first
+    # two pivots come from one two-step sweep or from a one-step sweep and
+    # a swap.
+    assert len(shapes) == 11
+    for e in itertools.product((-1, 0, 1), repeat=8):
+        pair = SeifertPair((e[0:2], e[2:4]), (e[4:6], e[6:8]), 1, 2)
+        assert pencil_det(pair) == pencil_det_interp_oracle(pair), pair
+
+
 def _corank_one_matrix(rng: random.Random, n: int, free: int, swap: bool) -> IntMatrix:
     """An n x n integer matrix whose column `free` is a combination of the
     columns before it (zero if free = 0), the others random.  With swap,
     rows 0 and 1 agree up to a factor in columns 0 and 1, so that the
-    leading 2x2 minor is zero and a block at columns 0 and 1 takes its
-    second pivot from a lower row."""
+    leading 2x2 minor is zero: the sweep at column 0 takes one step, and
+    column 1 takes its pivot from a lower row."""
     cols = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n - 1)]
     if swap:
         factor = rng.choice((-2, -1, 1, 2))
@@ -899,12 +921,12 @@ def _corank_one_matrix(rng: random.Random, n: int, free: int, swap: bool) -> Int
 
 
 def test_kernel_at_every_block_boundary():
-    """Corank-one matrices built so that the pivot list pairs in every
-    shape: a one-step pivot before the last followed by a two-step block
-    (its sweep found every lower 2x2 minor zero), an odd size whose last
-    column is one-step, four adjacent pivots (two blocks in a row), and a
-    block whose second pivot needs a row swap.  Each kernel equals the one
-    of the one-step elimination and back substitution."""
+    """Corank-one matrices built so that the sweeps of the elimination come
+    in every shape: a one-step sweep followed, past a column without a
+    pivot, by a two-step one; an odd size whose last column is a one-step
+    sweep; two two-step sweeps in a row; and a zero leading 2x2 minor: a
+    one-step sweep, then a swap.  Each kernel equals the one of the
+    one-step elimination and back substitution."""
     rng = random.Random(SEED + 19)
     seen = collections.Counter()
     for _ in range(60):
@@ -916,23 +938,26 @@ def test_kernel_at_every_block_boundary():
                 assert kernel == corank_one_kernel_oracle(m), m
                 if kernel is None:
                     continue
-                pivots = one_step_bareiss_oracle(m)[1]
-                blocks = _blocks(pivots)
+                _, sweeps, order, _ = _bareiss(m)
+                columns, widths = ([sweep[i] for sweep in sweeps] for i in (0, 1))
                 seen["kernel"] += 1
-                seen["one-step before a block"] += any(
-                    width == 1 and nxt == 2 for (_, width), (_, nxt) in zip(blocks, blocks[1:])
+                seen["one-step sweep, column without a pivot, two-step sweep"] += any(
+                    (w0, w1) == (1, 2) and c1 > c0 + 1
+                    for (c0, w0, _), (c1, w1, _) in zip(sweeps, sweeps[1:])
                 )
                 seen["odd size, last column one-step"] += (
-                    n % 2 == 1 and blocks[-1][1] == 1 and pivots[-1] == n - 1
+                    n % 2 == 1 and sweeps[-1][:2] == (n - 1, 1)
                 )
-                seen["four adjacent pivots"] += any(
-                    w0 == w1 == 2 and pivots[k1] == pivots[k0] + 2
-                    for (k0, w0), (k1, w1) in zip(blocks, blocks[1:])
+                seen["two two-step sweeps in a row"] += any(
+                    w0 == w1 == 2 and c1 == c0 + 2
+                    for (c0, w0, _), (c1, w1, _) in zip(sweeps, sweeps[1:])
                 )
-                seen["second-pivot swap"] += (
-                    m[0][0] != 0
-                    and m[0][0] * m[1][1] == m[0][1] * m[1][0]
-                    and pivots[:2] == [0, 1]
+                seen["zero leading 2x2 minor: a one-step sweep, then a swap"] += (
+                    m[0][0] * m[1][1] == m[0][1] * m[1][0]
+                    and columns[:2] == [0, 1]
+                    and widths[0] == 1
+                    and order[0] == 0
+                    and order[1] != 1
                 )
     assert len(seen) == 5 and min(seen.values()) > 500, seen
 
