@@ -45,13 +45,14 @@ MAX_DOCUMENT_BYTES = 64 * 2**20
 # t^0..t^50000 take under 0.2 s for the whole process (2-vCPU Xeon VM).
 MAX_HALF_EXPONENT = 100_000
 # At n = 64 pencil_det takes two integer Bareiss eliminations, of x*S - N
-# and its mirror S - x*N, with entries of O(n) bits: about 3.4-3.8 s with
-# entries in [-3, 3] on a 2-vCPU Xeon VM.  A pair with N = +-S^t is its own
-# mirror and takes one: 1.7-2.6 s for knot-type pairs (N = S^t).
+# and its mirror S - x*N, with entries of O(n) bits: 3.4-5.6 s with
+# entries in [-3, 3] on a 2-vCPU Xeon VM, in a busy sitting.  A pair with
+# N = +-S^t is its own mirror and takes one: 1.7-2.7 s for knot-type pairs
+# (N = S^t).
 MAX_MATRIX_DIM = 64
 # The bits grow with the entries: with every entry +-15, n = 64 takes
-# 7.8-10 s on the same VM, about 2.3 times the [-3, 3] case, and
-# 4.1-5.7 s for a knot-type pair.
+# 7.6-10.7 s in the same sitting, about twice the [-3, 3] case, and
+# 4.2-5.4 s for a knot-type pair.
 MAX_MATRIX_ENTRY = 15
 
 

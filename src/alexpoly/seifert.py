@@ -10,13 +10,13 @@ intersection form S - N, whose exact determinants carry the invariants.
 Matrices are immutable tuples of tuples.  One fraction-free Bareiss
 elimination (``_bareiss``) serves every determinant and kernel, and none
 of them uses rationals: its entries are ints or Laurent polynomials, and
-each of its divisions is exact in either ring.  It is Bareiss's two-step
+each of its divisions is exact in either ring.  It is Bareiss's three-step
 elimination (Math. Comp. 22, 1968): each sweep over the rows below takes
-two pivot columns where their 2x2 minor is nonzero, with one exact
-division per entry, so it makes about half the sweeps and half the
-divisions of one column per sweep.  It has one swap rule, for the first
-pivot of a sweep, and it returns a record of its sweeps, from which the
-determinant and the kernel read their pivots.
+three pivot columns where their leading 2x2 and 3x3 minors are nonzero,
+with one exact division per entry, so it makes about a third of the
+sweeps and a third of the divisions of one column per sweep.  It has one
+swap rule, for the first pivot of a sweep, and it returns a record of
+its sweeps, from which the determinant and the kernel read their pivots.
 
 - ``int_det`` runs it on an integer matrix, ``det`` on a matrix of
   Laurent polynomials, both through one body (``_det``);
@@ -29,8 +29,8 @@ determinant and the kernel read their pivots.
   N = +-S^t, its own mirror, needs only the first.  The normalized
   determinant is that polynomial shifted;
 - ``_corank_one_kernel`` reads the kernel of an integer matrix such as
-  S - N off it by back substitution, solving each two-step sweep as one
-  2x2 system.
+  S - N off it by back substitution, solving each three-step sweep as
+  one 3x3 system by its adjugate.
 """
 from __future__ import annotations
 
@@ -89,34 +89,54 @@ def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     )
 
 
+def _adjugate_columns(b0: Sequence, b1: Sequence, b2: Sequence) -> list[tuple]:
+    """The columns b1 x b2, b2 x b0 and b0 x b1 of adj(B), B the 3x3 matrix
+    of rows b0, b1, b2: B times column i is det(B) in entry i, else 0."""
+    (p, q, r), (u, v, w), (x, y, z) = b0, b1, b2
+    return [
+        (v * z - w * y, w * x - u * z, u * y - v * x),
+        (y * r - z * q, z * p - x * r, x * q - y * p),
+        (q * w - r * v, r * u - p * w, p * v - q * u),
+    ]
+
+
 def _bareiss(rows: Sequence[Sequence]) -> tuple[list[list], list[tuple], list[int], int]:
-    """Fraction-free two-step Bareiss elimination of a list copy of square rows.
+    """Fraction-free three-step Bareiss elimination of a list copy of square rows.
 
     The entries are ints or LaurentPolys.  At step k (k pivots so far)
     entry (i, j) is the minor on rows 0..k-1, i and on the pivot columns
-    and j, so by Sylvester's identity every division by the last pivot,
-    prev, is exact (``//``) in either ring (Bareiss, "Sylvester's identity
-    and multistep integer-preserving Gaussian elimination", Math. Comp. 22,
-    1968).  Each sweep starts at the next column: the entry in row k
-    becomes the pivot p0, after a swap with the first row below holding a
-    nonzero entry there if it is zero; a column with no such entry is
-    passed over.  That is the one swap rule.  When c0, the 2x2 minor of
-    rows k and k+1 over prev, is nonzero, it is the next pivot and the
-    sweep takes the column after too: each row below is updated right of
-    the two columns from its own minors c1 and c2 with rows k+1 and k, one
-    pass and one division per entry for two pivots, and row k+1 stays at
-    step k.  Otherwise, and in the last column, the sweep takes one column.
-    Each entry in column col+1 at step k+1 is its row's minor with row k
-    over prev, so after a one-step sweep the next swap picks the row whose
-    minor is the first nonzero one, and the swaps, the sign and the pivots
-    are those of one column per sweep.  So is each row from its pivot
-    column on, except the second row of a two-step sweep, which holds
-    step-k entries.  Left of the pivot column, and in pivot columns below
-    their pivot, a row holds stale entries, and no caller reads them.
+    and j, so by Sylvester's identity every s x s minor of step-k entries
+    is prev^(s-1) times a minor of the matrix, prev the last pivot, and
+    each division by a power of prev is exact (``//``) in either ring
+    (Bareiss, "Sylvester's identity and multistep integer-preserving
+    Gaussian elimination", Math. Comp. 22, 1968).  Each sweep starts at the
+    next column: the entry in row k becomes the pivot p0, after a swap with
+    the first row below holding a nonzero entry there if it is zero; a
+    column with no such entry is passed over.  That is the one swap rule.
+    When rows k..k+2 have a nonzero leading 2x2 minor and a nonzero 3x3
+    minor B in the three columns from there, the sweep takes all three
+    columns, and c0 = det(B) / prev^2 is its pivot: each row below, with
+    entries x in those columns, gets the multipliers g_i = x . adj_i /
+    prev^2 from the columns adj_i of adj(B), and each of its entries z
+    right of them, above which rows k..k+2 hold w_0..w_2, becomes (c0*z -
+    g_0*w_0 - g_1*w_1 - g_2*w_2) / prev, one pass and one division per
+    entry for three pivots.  Rows k+1 and k+2 stay at step k.  Otherwise,
+    and where fewer than three columns remain, the sweep takes one column.
+    At step k+1 each entry in column col+1 is its row's 2x2 minor with row
+    k over prev, and at step k+2 each entry in column col+2 is its row's
+    3x3 minor with rows k and k+1 over prev^2, so a three-step sweep is
+    taken just where one column per sweep would swap for neither its
+    second nor its third pivot, and after a one-step sweep the next swap
+    picks the row the one-step elimination picks: the swaps, the sign and
+    the pivots are those of one column per sweep.  So is each row from its
+    pivot column on, except the second and third rows of a three-step
+    sweep, which hold step-k entries.  Left of the pivot column, and in
+    pivot columns below their pivot, a row holds stale entries, and no
+    caller reads them.
 
     Returns the eliminated rows, the sweeps, the original index of each
     row and the sign of that row permutation.  Each sweep is (col, width,
-    pivot): its first column, its number of columns (1 or 2) and the last
+    pivot): its first column, its number of columns (1 or 3) and the last
     pivot it made (p0 or c0).  When the widths add up to the size, the
     determinant is the sign times the last pivot; otherwise it is zero.
     """
@@ -134,23 +154,28 @@ def _bareiss(rows: Sequence[Sequence]) -> tuple[list[list], list[tuple], list[in
             sign = -sign
         r0 = a[k]
         p0 = r0[col]
-        if col + 1 < n:
-            r1 = a[k + 1]
-            q0, u, v = r0[col + 1], r1[col], r1[col + 1]
-            c0 = p0 * v - q0 * u
-            if c0:
-                c0 //= prev
-                t0, t1 = r0[col + 2 :], r1[col + 2 :]
-                for row in a[k + 2 :]:
-                    x, y = row[col], row[col + 1]
-                    c1, c2 = (u * y - v * x) // prev, (p0 * y - q0 * x) // prev
-                    row[col + 2 :] = [
-                        (c0 * z + c1 * s - c2 * w) // prev
-                        for z, s, w in zip(row[col + 2 :], t0, t1)
+        if col + 2 < n:
+            r1, r2 = a[k + 1], a[k + 2]
+            (a0, a1, a2), (b0, b1, b2), (e0, e1, e2) = _adjugate_columns(
+                r0[col : col + 3], r1[col : col + 3], r2[col : col + 3]
+            )
+            c0 = r2[col] * e0 + r2[col + 1] * e1 + r2[col + 2] * e2
+            if e2 and c0:
+                pp = prev * prev
+                c0 //= pp
+                t0, t1, t2 = r0[col + 3 :], r1[col + 3 :], r2[col + 3 :]
+                for row in a[k + 3 :]:
+                    x, y, z = row[col : col + 3]
+                    g0 = (x * a0 + y * a1 + z * a2) // pp
+                    g1 = (x * b0 + y * b1 + z * b2) // pp
+                    g2 = (x * e0 + y * e1 + z * e2) // pp
+                    row[col + 3 :] = [
+                        (c0 * v - g0 * w0 - g1 * w1 - g2 * w2) // prev
+                        for v, w0, w1, w2 in zip(row[col + 3 :], t0, t1, t2)
                     ]
-                sweeps.append((col, 2, c0))
+                sweeps.append((col, 3, c0))
                 prev = c0
-                k, col = k + 2, col + 2
+                k, col = k + 3, col + 3
                 continue
         tail = r0[col + 1 :]
         for row in a[k + 1 :]:
@@ -183,13 +208,13 @@ def _corank_one_kernel(m: IntMatrix) -> tuple[list[int], int, int] | None:
     to sign: g*y with y primitive.  As adj(m) = c*y*x^t, x the primitive
     left kernel vector, m has Smith form diag(1, ..., 1, 0) iff g == |x[row]|.
 
-    The sweeps are solved from the last.  A two-step sweep at column c
-    has rows k and k+1 at step k, with entries p0, q0 and u, v in columns
-    c and c+1, pivot c0 = (p0*v - q0*u)/prev and prev the pivot of the
-    sweep before (1 for the first); with s0 and s1 the sums of its two rows
-    against y right of the sweep, its two equations give prev*c0*y[c+1] =
-    -(p0*s1 - u*s0) and p0*y[c] = -(q0*y[c+1] + s0).  Both divisions are
-    exact, as the integer vector y solves them.
+    The sweeps are solved from the last.  A three-step sweep at column c
+    has rows k..k+2 at step k, whose entries in columns c..c+2 form B with
+    det(B) = prev^2*pivot, prev the pivot of the sweep before (1 for the
+    first); with s the sums of its three rows against y right of the sweep,
+    B*y[c:c+3] = -s, so y[c:c+3] = -adj(B)*s / (prev^2*pivot).  A one-step
+    sweep gives p0*y[c] = -s0.  Each division is exact, as the integer
+    vector y solves the equations.
     """
     n = len(m)
     if any(len(r) != n for r in m):
@@ -205,13 +230,22 @@ def _corank_one_kernel(m: IntMatrix) -> tuple[list[int], int, int] | None:
     for (c, width, pivot), prev in zip(reversed(sweeps), reversed(prevs[:-1])):
         k -= width
         r0 = a[k]
-        s0 = sum(map(mul, r0[c + 1 :], y[c + 1 :]))
-        if width == 2:
-            r1 = a[k + 1]
-            s1 = sum(map(mul, r1[c + 2 :], y[c + 2 :]))
-            y[c + 1] = -(r0[c] * s1 - r1[c] * s0) // (prev * pivot)
-            s0 += r0[c + 1] * y[c + 1]
-        y[c] = -s0 // r0[c]
+        if width == 3:
+            r1, r2, right = a[k + 1], a[k + 2], y[c + 3 :]
+            s0 = sum(map(mul, r0[c + 3 :], right))
+            s1 = sum(map(mul, r1[c + 3 :], right))
+            s2 = sum(map(mul, r2[c + 3 :], right))
+            (a0, a1, a2), (b0, b1, b2), (e0, e1, e2) = _adjugate_columns(
+                r0[c : c + 3], r1[c : c + 3], r2[c : c + 3]
+            )
+            d = prev * prev * pivot
+            y[c : c + 3] = (
+                -(s0 * a0 + s1 * b0 + s2 * e0) // d,
+                -(s0 * a1 + s1 * b1 + s2 * e1) // d,
+                -(s0 * a2 + s1 * b2 + s2 * e2) // d,
+            )
+        else:
+            y[c] = -sum(map(mul, r0[c + 1 :], y[c + 1 :])) // r0[c]
     g = math.gcd(*y)
     return [v // g for v in y], order[n - 1], g
 
@@ -378,25 +412,26 @@ def pencil_det(pair: SeifertPair) -> LaurentPoly:
     row of t*S - N is zero) needs no branch of its own: b = 1, the
     determinants are 0, and the digits unpack to ZERO.
 
-    Cost: about m^3/6 entry updates per two-step elimination, each of
-    three products and one exact division, on integers of up to about m*b
+    Cost: about m^3/9 entry updates per three-step elimination, each of
+    four products and one exact division, on integers of up to about m*b
     bits on the narrow route and 2*m*b on the wide one, where b is a
     quarter of the bits of h2 (so b grows linearly in m).  While m*b <=
     512 an update costs mostly interpreter overhead, whatever the length
-    of its integers, so one wide point beats two narrow ones.  The two
-    cost about the same at m*b = 610-690; above that the quadratic
-    division of the longer integers makes the wide point slower (0.9x at
-    m*b = 780, 0.8x at 1,100, 0.6x at 5,300).  These are int_det times at each route's points, medians of 15 interleaved
-    batches over random +-3, knot-like, +-100 and +-10^6 pairs of size 4
-    to 22 (Python 3.11.7, 2-vCPU VM), with the narrow points then at
-    x = +-2^b; at 2^(b+1), one bit longer, a narrow int_det takes 2-4%
-    more.  Below m = 40 either route beats m + 1 eliminations on small
-    integers; at the 64 x 64 cap the big-integer division dominates, and
-    two narrow determinants take 3.4-3.8 s on +-3 entries.  A pair with
-    N = +-S^t takes one, so about half as long: 1.7-2.6 s on knot-type
-    pairs (N = S^t) with entries in [-3, 3] and 4.1-5.7 s with every entry
-    +-15, where two took 3.6-5.4 s and 8.0-9.5 s (three pairs each, four
-    sittings).
+    of its integers, so one wide point beats two narrow ones: it takes
+    0.74-0.90 of their time at m*b = 364-525.  The two cost about the same
+    at m*b = 610-690 (0.98-1.06); above that the quadratic division of
+    the longer integers makes the wide point slower (1.08-1.20 at m*b =
+    770-950, 1.1-1.5 at 1,100).  These are int_det times at each route's
+    points, medians of 15 interleaved batches over four random +-3,
+    knot-like, +-100 or +-10^6 pairs per size, of sizes 6 to 22 (Python
+    3.11.7, 2-vCPU VM).  Below m = 40 either route beats m + 1
+    eliminations on small integers; at the 64 x 64 cap the big-integer
+    division dominates, and two narrow determinants take 3.4-5.6 s on +-3
+    entries and 7.6-10.7 s with every entry +-15.  A pair with N = +-S^t
+    takes one, so about half as long: 1.7-2.7 s on knot-type pairs (N =
+    S^t) with entries in [-3, 3] and 4.2-5.4 s with every entry +-15
+    (three pairs each, three runs in a busy sitting, where the two-step
+    elimination took 3.9-5.7, 9.4-11.6, 1.9-3.3 and 4.8-6.3 s).
     """
     _require_square(pair.S)
     S, N, m = pair.S, pair.N, len(pair.S)

@@ -320,11 +320,11 @@ def _with_elimination_edits(rng, m, zero):
     before the last, which has no pivot; one column repeated in another,
     which leaves a later column without a pivot; row r, r odd and below
     n - 1 where n allows, made a combination of the rows above in its
-    first r + 1 entries, so that the leading minor of size r + 1 is zero,
-    the sweep at column r - 1 takes one step and the next one swaps a
-    lower row into row r; and column
-    c + 1, c even, a multiple of column c, so that no row gives a sweep
-    at column c its second pivot."""
+    first r + 1 entries, so that the leading minor of size r + 1 is zero
+    and column r takes its pivot, if any, from a lower row; and column
+    c + 1, c even, a multiple of column c, so that column c + 1 has no
+    pivot.  As r and c take every residue mod 3, both edits fall at
+    every place in and between three-step sweeps."""
     yield m
     n = len(m)
     if n < 2:
@@ -828,8 +828,9 @@ def _sweeps_matching_one_step_oracle(m):
     one-step elimination: the same swaps and sign, and the same pivot
     columns as the columns of the sweeps; each sweep's pivot the one-step
     pivot entry; the first row of each sweep the same from its pivot
-    column on; and the second row of a two-step sweep at the step before,
-    so that advanced one step it is the same from its pivot column on."""
+    column on; and the second and third rows of a three-step sweep at the
+    sweep's first step, so that advanced one and two steps they are the
+    same from their pivot columns on."""
     a, sweeps, order, sign = _bareiss(m)
     want, pivots, *rest = one_step_bareiss_oracle(m)
     columns = [c + i for c, width, _ in sweeps for i in range(width)]
@@ -838,19 +839,22 @@ def _sweeps_matching_one_step_oracle(m):
     for c, width, pivot in sweeps:
         assert a[k][c:] == want[k][c:], m
         assert pivot == want[k + width - 1][c + width - 1], m
-        if width == 2:
-            r0, r1 = a[k], a[k + 1]
+        if width == 3:
+            r0, r1, r2 = a[k : k + 3]
             prev = want[k - 1][pivots[k - 1]] if k else 1
-            advanced = [
-                (r0[c] * y - r1[c] * x) // prev for x, y in zip(r0[c + 1 :], r1[c + 1 :])
+            once = [(r0[c] * y - r1[c] * x) // prev for x, y in zip(r0[c + 1 :], r1[c + 1 :])]
+            assert once == want[k + 1][c + 1 :], m
+            twice = [
+                perm_det_int_oracle([(r[c], r[c + 1], r[j]) for r in (r0, r1, r2)]) // prev**2
+                for j in range(c + 2, len(m))
             ]
-            assert advanced == want[k + 1][c + 1 :], m
+            assert twice == want[k + 2][c + 2 :], m
         k += width
     return sweeps
 
 
 def test_elimination_matches_one_step_oracle_randomized():
-    """The two-step elimination against the one-step one on sizes 0..12,
+    """The three-step elimination against the one-step one on sizes 0..12,
     with every elimination edit: the same sweeps as one column per sweep
     (_sweeps_matching_one_step_oracle), and so the same int_det, det and
     kernel."""
@@ -861,7 +865,7 @@ def test_elimination_matches_one_step_oracle_randomized():
             ints, laurents = _elimination_cases(rng, n)
             for m in (m for base in ints for m in _with_elimination_edits(edits, base, 0)):
                 sweeps = _sweeps_matching_one_step_oracle(m)
-                seen.update("block" if width == 2 else "one-step" for _, width, _ in sweeps)
+                seen.update("block" if width == 3 else "one-step" for _, width, _ in sweeps)
                 assert int_det(m) == one_step_det_oracle(m, 1, 0), m
                 kernel = _corank_one_kernel(m)
                 assert kernel == corank_one_kernel_oracle(m), m
@@ -893,27 +897,41 @@ def test_census_of_small_matrices_and_pencils():
         assert int_det(m) == perm_det_int_oracle(m), m
         assert _corank_one_kernel(m) == corank_one_kernel_oracle(m), m
     # Every sweep shape of size 3: one for each of the 8 sets of pivot
-    # columns, and a second for {0, 1, 2}, {0, 1} and {1, 2}, whose first
-    # two pivots come from one two-step sweep or from a one-step sweep and
-    # a swap.
-    assert len(shapes) == 11
+    # columns, and a second for {0, 1, 2}, taken by one three-step sweep or
+    # by three one-step ones.
+    assert shapes == {
+        ((0, 3),),
+        ((0, 1), (1, 1), (2, 1)),
+        ((0, 1), (1, 1)),
+        ((0, 1), (2, 1)),
+        ((1, 1), (2, 1)),
+        ((0, 1),),
+        ((1, 1),),
+        ((2, 1),),
+        (),
+    }
     for e in itertools.product((-1, 0, 1), repeat=8):
         pair = SeifertPair((e[0:2], e[2:4]), (e[4:6], e[6:8]), 1, 2)
         assert pencil_det(pair) == pencil_det_interp_oracle(pair), pair
 
 
-def _corank_one_matrix(rng: random.Random, n: int, free: int, swap: bool) -> IntMatrix:
+def _corank_one_matrix(rng: random.Random, n: int, free: int, minor: int) -> IntMatrix:
     """An n x n integer matrix whose column `free` is a combination of the
-    columns before it (zero if free = 0), the others random.  With swap,
+    columns before it (zero if free = 0), the others random.  With minor 2,
     rows 0 and 1 agree up to a factor in columns 0 and 1, so that the
     leading 2x2 minor is zero: the sweep at column 0 takes one step, and
-    column 1 takes its pivot from a lower row."""
+    column 1 takes its pivot from a lower row.  With minor 3, row 2 is a
+    combination of rows 0 and 1 in columns 0..2, so that the leading 3x3
+    minor is zero: where the 2x2 minor is not, the sweeps at columns 0 and
+    1 take one step each, and column 2 takes its pivot from a lower row."""
     cols = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n - 1)]
-    if swap:
-        factor = rng.choice((-2, -1, 1, 2))
-        for col in cols[:2]:
+    factors = [rng.choice((-2, -1, 1, 2)) for _ in range(2)]
+    for col in cols[:minor]:
+        if minor == 2:
             col[0] = col[0] or 1
-            col[1] = factor * col[0]
+            col[1] = factors[0] * col[0]
+        else:
+            col[2] = factors[0] * col[0] + factors[1] * col[1]
     weights = [rng.choice((-1, 1)) for _ in range(free)]
     combination = [sum(w * col[i] for w, col in zip(weights, cols)) for i in range(n)]
     cols.insert(free, combination)
@@ -923,43 +941,55 @@ def _corank_one_matrix(rng: random.Random, n: int, free: int, swap: bool) -> Int
 def test_kernel_at_every_block_boundary():
     """Corank-one matrices built so that the sweeps of the elimination come
     in every shape: a one-step sweep followed, past a column without a
-    pivot, by a two-step one; an odd size whose last column is a one-step
-    sweep; two two-step sweeps in a row; and a zero leading 2x2 minor: a
-    one-step sweep, then a swap.  Each kernel equals the one of the
-    one-step elimination and back substitution."""
+    pivot, by a three-step one; sizes n = 1 and 2 (mod 3) whose last
+    column is a one-step sweep; two three-step sweeps in a row; a zero
+    leading 2x2 minor: a one-step sweep, then a swap; and a nonzero 2x2
+    minor in a zero 3x3 one: one-step sweeps, no swap at the second pivot
+    and a swap at the third.  Each kernel equals the one of the one-step
+    elimination and back substitution."""
     rng = random.Random(SEED + 19)
     seen = collections.Counter()
-    for _ in range(60):
-        for n in range(2, 12):
+    for _ in range(50):
+        for n in range(2, 14):
             for free in range(n):
-                swap = free >= 2 and rng.random() < 0.5
-                m = _corank_one_matrix(rng, n, free, swap)
+                minor = rng.choice([0] + [size for size in (2, 3) if free >= size])
+                m = _corank_one_matrix(rng, n, free, minor)
                 kernel = _corank_one_kernel(m)
                 assert kernel == corank_one_kernel_oracle(m), m
                 if kernel is None:
                     continue
                 _, sweeps, order, _ = _bareiss(m)
                 columns, widths = ([sweep[i] for sweep in sweeps] for i in (0, 1))
+                pairs = list(zip(sweeps, sweeps[1:]))
                 seen["kernel"] += 1
-                seen["one-step sweep, column without a pivot, two-step sweep"] += any(
-                    (w0, w1) == (1, 2) and c1 > c0 + 1
-                    for (c0, w0, _), (c1, w1, _) in zip(sweeps, sweeps[1:])
+                seen["one-step sweep, column without a pivot, three-step sweep"] += any(
+                    (w0, w1) == (1, 3) and c1 > c0 + 1 for (c0, w0, _), (c1, w1, _) in pairs
                 )
-                seen["odd size, last column one-step"] += (
-                    n % 2 == 1 and sweeps[-1][:2] == (n - 1, 1)
+                for residue in (1, 2):
+                    seen[f"n = {residue} (mod 3), last column one-step"] += (
+                        n % 3 == residue and sweeps[-1][:2] == (n - 1, 1)
+                    )
+                seen["two three-step sweeps in a row"] += any(
+                    w0 == w1 == 3 and c1 == c0 + 3 for (c0, w0, _), (c1, w1, _) in pairs
                 )
-                seen["two two-step sweeps in a row"] += any(
-                    w0 == w1 == 2 and c1 == c0 + 2
-                    for (c0, w0, _), (c1, w1, _) in zip(sweeps, sweeps[1:])
-                )
+                minor2, minor3 = (int_det([row[:size] for row in m[:size]]) for size in (2, 3))
                 seen["zero leading 2x2 minor: a one-step sweep, then a swap"] += (
-                    m[0][0] * m[1][1] == m[0][1] * m[1][0]
+                    n >= 3
+                    and not minor2
                     and columns[:2] == [0, 1]
                     and widths[0] == 1
                     and order[0] == 0
                     and order[1] != 1
                 )
-    assert len(seen) == 5 and min(seen.values()) > 500, seen
+                seen["nonzero 2x2 minor, zero 3x3 minor: one-step sweeps, then a swap"] += (
+                    minor2 != 0
+                    and minor3 == 0
+                    and columns[:3] == [0, 1, 2]
+                    and widths[:2] == [1, 1]
+                    and order[:2] == [0, 1]
+                    and order[2] != 2
+                )
+    assert len(seen) == 7 and min(seen.values()) > 500, seen
 
 
 def test_every_determinant_and_kernel_runs_the_one_elimination(monkeypatch):

@@ -54,9 +54,11 @@ def test_python_matrix_starts_at_the_required_floor():
 
 def test_both_cap_steps_check_the_answer_modulo_a_prime():
     """Each 64 x 64 step writes its pair with tests/cap_check.py, runs the
-    installed command on it with --json under timeout 120, and then checks
-    that answer with the same script, which compares its values at three
-    points with det(x*S - N) modulo p = 2^61 - 1, so a wrong answer fails."""
+    installed command on it with --json under timeout 120 and `time`, so
+    that the log records how long the capped determinant took, and then
+    checks that answer with the same script, which compares its values at
+    three points with det(x*S - N) modulo p = 2^61 - 1, so a wrong answer
+    fails.  Each of the three is one whole line of the step."""
     steps = re.split(r"^      - name: ", WORKFLOW, flags=re.MULTILINE)[1:]
     caps = [step for step in steps if "64 x 64" in step.splitlines()[0]]
     assert len(caps) == 2
@@ -65,9 +67,11 @@ def test_both_cap_steps_check_the_answer_modulo_a_prime():
     runs = []
     for step in caps:
         ((command, seed, pair),) = re.findall(pattern, step, re.MULTILINE)
-        solve = f"timeout 120 alexpoly {command} --json {pair} > {command}.json"
+        write = f"python {script} pair {command} {seed} 64 {pair}"
+        solve = f"time timeout 120 alexpoly {command} --json {pair} > {command}.json"
         check = f"python {script} check {command} {pair} {command}.json"
-        assert step.index(f"pair {command} {seed} 64 {pair}") < step.index(solve) < step.index(check)
+        lines = [line.strip() for line in step.splitlines()]
+        assert lines.index(write) < lines.index(solve) < lines.index(check)
         runs.append((command, seed))
     assert sorted(runs) == [("alex", "64"), ("norm", "65")]
     assert cap_check.P == (1 << 61) - 1 and cap_check.POINTS == (2, 3, 10**9 + 7)
